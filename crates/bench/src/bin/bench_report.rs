@@ -48,7 +48,9 @@
 //! 8. **telemetry overhead** — ns per steady-state raw-tier chunk read
 //!    with the stage-event recorder disabled (the no-op default) vs
 //!    enabled (a bounded deterministic `Tracer`), plus allocations per
-//!    read with the recorder on. The always-on counters run in both
+//!    read with the recorder on. Each configuration first drains twice
+//!    the buffered depth, then times a fixed 128 reads, so neither is
+//!    served from prefilled rings. The always-on counters run in both
 //!    configurations, so the ratio isolates the event layer's cost; CI
 //!    fails the job when `overhead_ratio` exceeds 1.10 or the
 //!    recorder-on read path allocates at all;
@@ -220,14 +222,24 @@ fn measure_steady_state_allocs(reads: usize) -> (f64, usize) {
     ((after - before) as f64 / reads as f64, reads)
 }
 
+/// Chunk reads timed per telemetry configuration: a fixed count, not
+/// one sized from a time budget, so both configurations time the same
+/// work however fast the first read happens to be.
+const TELEMETRY_TIMED_READS: usize = 128;
+
 /// One telemetry configuration: ns per steady-state raw-tier chunk
 /// read and allocations per read, with the given recorder (or the
-/// no-op default when `None`). Identical deployment and priming to
+/// no-op default when `None`). Identical deployment to
 /// `measure_steady_state_allocs`, so recorder-off here is the same
 /// path the `allocation` section measures.
+///
+/// Before timing, the consumer drains twice the deployment's buffered
+/// depth (`2 × shards × (queue_chunks + 2)` chunks), so no timed read
+/// is served from the rings the workers filled during set-up; then it
+/// times [`TELEMETRY_TIMED_READS`] reads, which the workers'
+/// generation paces.
 fn measure_telemetry_point(
     recorder: Option<std::sync::Arc<dyn dhtrng_stream::Recorder>>,
-    budget_s: f64,
     alloc_reads: usize,
 ) -> (f64, f64) {
     let shards = 4;
@@ -243,16 +255,14 @@ fn measure_telemetry_point(
     }
     let mut stream = builder.build();
     let mut buf = vec![0u8; chunk];
-    for _ in 0..shards * (queue_chunks + 2) * 3 {
+    for _ in 0..2 * shards * (queue_chunks + 2) {
         stream.read(&mut buf).expect("healthy stream");
     }
-    let seconds = time_mean_s(
-        || {
-            stream.read(&mut buf).expect("healthy stream");
-            std::hint::black_box(buf[0]);
-        },
-        budget_s,
-    );
+    let start = Instant::now();
+    for _ in 0..TELEMETRY_TIMED_READS {
+        stream.read(&mut buf).expect("healthy stream");
+    }
+    let seconds = start.elapsed().as_secs_f64() / TELEMETRY_TIMED_READS as f64;
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     for _ in 0..alloc_reads {
         stream.read(&mut buf).expect("healthy stream");
@@ -668,11 +678,11 @@ fn main() {
     let conditioning_machines = conditioning_rows.join(",\n");
     let conditioned_allocs = measure_conditioned_allocs(alloc_reads);
 
-    let (telemetry_off_ns, _) = measure_telemetry_point(None, budget_s, alloc_reads);
+    let (telemetry_off_ns, _) = measure_telemetry_point(None, alloc_reads);
     let telemetry_tracer: std::sync::Arc<dyn dhtrng_stream::Recorder> =
         std::sync::Arc::new(dhtrng_stream::Tracer::deterministic(1024));
     let (telemetry_on_ns, telemetry_on_allocs) =
-        measure_telemetry_point(Some(telemetry_tracer), budget_s, alloc_reads);
+        measure_telemetry_point(Some(telemetry_tracer), alloc_reads);
     let telemetry_overhead = telemetry_on_ns / telemetry_off_ns;
 
     // 7. Multicore scaling + hand-off cost. The shard sweep runs with
@@ -820,7 +830,7 @@ fn main() {
     "recorder_on_ns_per_chunk": {telemetry_on_ns:.1},
     "overhead_ratio": {telemetry_overhead:.4},
     "allocs_per_read_recorder_on": {telemetry_on_allocs:.3},
-    "note": "ns per steady-state raw-tier 64 KiB chunk read over the 4-shard deployment, stage-event recorder off (the no-op default) vs on (a bounded deterministic Tracer sized to force drop-oldest eviction — the heaviest shipped recorder). The always-on counters run in both configurations, so overhead_ratio isolates the event layer; CI fails when it exceeds 1.10 or when the recorder-on read path allocates at all (tests/zero_alloc.rs pins the same invariant)."
+    "note": "ns per steady-state raw-tier 64 KiB chunk read over the 4-shard deployment (after draining 2 x shards x (queue_chunks + 2) chunks, mean of a fixed 128 reads), stage-event recorder off (the no-op default) vs on (a bounded deterministic Tracer sized to force drop-oldest eviction — the heaviest shipped recorder). The always-on counters run in both configurations, so overhead_ratio isolates the event layer; CI fails when it exceeds 1.10 or when the recorder-on read path allocates at all (tests/zero_alloc.rs pins the same invariant)."
   }},
   "paper_anchor": {{
     "per_instance_modeled_mbps": {anchor:.3},

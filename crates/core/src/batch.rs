@@ -14,7 +14,9 @@
 //! * the `Vec<BeatOscillator>` indirection of the beat bank.
 //!
 //! [`BlockKernel`] hoists all of that out of the inner loop once per
-//! block, then generates up to 64 cycles per call into a packed word.
+//! block, pads the beat bank to a compile-time width so the per-cycle
+//! body vectorises, and generates whole buffers of 64-cycle words with
+//! the bank held in registers.
 //! The kernel is **bit-exact**: for the same starting state and the same
 //! [`NoiseRng`], it produces exactly the stream the per-bit reference
 //! produces (every arithmetic step is provably the same f64 computation;
@@ -24,6 +26,7 @@
 use dhtrng_noise::NoiseRng;
 
 use crate::model::BeatOscillator;
+use crate::simd::Backend;
 
 /// Largest beat bank a [`BlockKernel`] accepts. Callers with more
 /// oscillators fall back to the per-bit reference path (none of the
@@ -85,6 +88,10 @@ pub fn pack_bits(n: u32, mut cycle: impl FnMut() -> bool) -> u64 {
     word
 }
 
+/// Padded bank width for banks of up to 16 beats (DH-TRNG has 12). Wider
+/// banks, up to [`MAX_BEATS`], run at width [`MAX_BEATS`].
+const NARROW: usize = 16;
+
 /// A hoisted-state generator for one block of Eq. 5-shaped cycles.
 ///
 /// Covers every generator in the workspace that follows the calibrated
@@ -93,11 +100,20 @@ pub fn pack_bits(n: u32, mut cycle: impl FnMut() -> bool) -> u64 {
 /// apply the systematic sampler bias, and (DH-TRNG only) kick the ring
 /// phases through the feedback line when the output bit is 1.
 ///
+/// The beat bank is padded to a compile-time width — 16 for banks of up
+/// to 16 beats, [`MAX_BEATS`] above that — with inert lanes (phase,
+/// increment, duty and kick multiplier all 0: such a lane never wraps,
+/// never counts towards the XOR and never moves). The per-cycle body
+/// therefore has no runtime trip count and vectorises; see `DESIGN.md`
+/// §5 for why the padding and the branch-free wrap leave every output
+/// bit unchanged.
+///
 /// Usage: build from the generator's state, call
-/// [`next_word`](Self::next_word) / [`next_bits`](Self::next_bits) as
-/// often as needed, then [`write_back`](Self::write_back) the advanced
-/// phases. The `NoiseRng` is borrowed per call, so its state stays in
-/// the owning generator throughout.
+/// [`next_word`](Self::next_word) / [`next_bits`](Self::next_bits) /
+/// [`fill_bytes`](Self::fill_bytes) as often as needed, then
+/// [`write_back`](Self::write_back) the advanced phases. The `NoiseRng`
+/// is borrowed per call, so its state stays in the owning generator
+/// throughout.
 #[derive(Debug, Clone)]
 pub struct BlockKernel {
     beats: usize,
@@ -111,6 +127,18 @@ pub struct BlockKernel {
     p_rand_threshold: u64,
     half_threshold: u64,
     bias_threshold: u64,
+    backend: Backend,
+}
+
+/// `rem_euclid(1.0)` for a phase sum in [0, 2), branch-free: the sum of
+/// two values in [0, 1) is exact to subtract 1.0 from when it reaches
+/// [1, 2) (Sterbenz's lemma), and `x - 0.0 == x` for every `x`, so this
+/// is bit-for-bit `if p >= 1.0 { p - 1.0 } else { p }`. Subtracting a
+/// selected constant vectorises to compare, and, subtract — cheaper
+/// than a blend.
+#[inline(always)]
+fn wrap(p: f64) -> f64 {
+    p - if p >= 1.0 { 1.0 } else { 0.0 }
 }
 
 impl BlockKernel {
@@ -161,6 +189,7 @@ impl BlockKernel {
                 max: MAX_BEATS,
             });
         }
+        // Unused lanes keep these zeros: the inert padding.
         let mut kernel = Self {
             beats: beats.len(),
             phases: [0.0; MAX_BEATS],
@@ -172,6 +201,7 @@ impl BlockKernel {
             half_threshold: NoiseRng::bernoulli_threshold(0.5),
             // The reference path draws bernoulli(2 * bias).
             bias_threshold: NoiseRng::bernoulli_threshold(2.0 * bias),
+            backend: Backend::detected(),
         };
         for (i, beat) in beats.iter().enumerate() {
             kernel.phases[i] = beat.phase();
@@ -190,44 +220,92 @@ impl BlockKernel {
         Ok(kernel)
     }
 
-    /// One cycle of the Eq. 5 structure — the same draws, in the same
-    /// order, as the per-bit reference paths.
-    #[inline]
-    fn cycle(&mut self, rng: &mut NoiseRng) -> bool {
-        // Free-running beats advance every cycle. Phase and increment
-        // both lie in [0, 1), so the wrapped sum lies in [0, 2) and the
-        // compare-and-subtract equals `rem_euclid(1.0)` exactly.
-        let mut beat_xor = false;
-        for i in 0..self.beats {
-            let mut phase = self.phases[i] + self.increments[i];
-            if phase >= 1.0 {
-                phase -= 1.0;
-            }
-            self.phases[i] = phase;
-            beat_xor ^= phase < self.duties[i];
-        }
-        let mut bit = if rng.bernoulli_fast(self.p_rand_threshold) {
-            rng.bernoulli_fast(self.half_threshold)
-        } else {
-            beat_xor
-        };
-        if !bit && rng.bernoulli_fast(self.bias_threshold) {
-            bit = true;
-        }
-        if bit && self.kick_scale != 0.0 {
-            // Feedback: one uniform draw spread over the rings. Kick
-            // amounts stay below the scale (< 1), so the same
-            // compare-and-subtract wrap applies.
-            let kick = self.kick_scale * rng.uniform();
-            for i in 0..self.beats {
-                let mut phase = self.phases[i] + kick * self.kick_mults[i];
-                if phase >= 1.0 {
-                    phase -= 1.0;
+    /// Fills every word of `out` with `n` cycles (oldest bit first),
+    /// through the body compiled for this bank's padded width and the
+    /// process's [`Backend`].
+    fn run(&mut self, rng: &mut NoiseRng, n: u32, out: &mut [u64]) {
+        let narrow = self.beats <= NARROW;
+        match self.backend {
+            Backend::Portable if narrow => self.run_impl::<NARROW>(rng, n, out),
+            Backend::Portable => self.run_impl::<MAX_BEATS>(rng, n, out),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: Backend::Avx2 is only ever detected after
+            // `is_x86_feature_detected!("avx2")` returned true on this
+            // machine, so the target-feature function's contract holds.
+            #[allow(unsafe_code)]
+            Backend::Avx2 => unsafe {
+                if narrow {
+                    self.run_avx2::<NARROW>(rng, n, out);
+                } else {
+                    self.run_avx2::<MAX_BEATS>(rng, n, out);
                 }
-                self.phases[i] = phase;
-            }
+            },
         }
-        bit
+    }
+
+    /// AVX2 compilation of the *same* body: `target_feature` licenses
+    /// the autovectoriser to emit 256-bit operations for the inlined
+    /// `run_impl`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[allow(unsafe_code)]
+    unsafe fn run_avx2<const W: usize>(&mut self, rng: &mut NoiseRng, n: u32, out: &mut [u64]) {
+        self.run_impl::<W>(rng, n, out);
+    }
+
+    /// The one cycle body, at padded width `W`, `inline(always)` so each
+    /// dispatch arm compiles it under its own target features.
+    ///
+    /// Per cycle — the same draws, in the same order, as the per-bit
+    /// reference paths; the XOR of the beats is the parity of the count
+    /// of high beats. The bank lives in locals for the whole call, so
+    /// the phases stay in registers across the word loop.
+    #[inline(always)]
+    fn run_impl<const W: usize>(&mut self, rng: &mut NoiseRng, n: u32, out: &mut [u64]) {
+        let mut phases = [0.0f64; W];
+        phases.copy_from_slice(&self.phases[..W]);
+        let mut increments = [0.0f64; W];
+        increments.copy_from_slice(&self.increments[..W]);
+        let mut duties = [0.0f64; W];
+        duties.copy_from_slice(&self.duties[..W]);
+        let mut kick_mults = [0.0f64; W];
+        kick_mults.copy_from_slice(&self.kick_mults[..W]);
+        let kick_scale = self.kick_scale;
+        for word in out {
+            let mut bits = 0u64;
+            for _ in 0..n {
+                let mut high = 0u64;
+                for i in 0..W {
+                    let p = wrap(phases[i] + increments[i]);
+                    phases[i] = p;
+                    high += u64::from(p < duties[i]);
+                }
+                let mut bit = if rng.bernoulli_fast(self.p_rand_threshold) {
+                    rng.bernoulli_fast(self.half_threshold)
+                } else {
+                    high & 1 == 1
+                };
+                if !bit && rng.bernoulli_fast(self.bias_threshold) {
+                    bit = true;
+                }
+                if bit && kick_scale != 0.0 {
+                    // Feedback: one uniform draw spread over the rings.
+                    // Kick amounts stay below the scale (< 1), so the
+                    // same wrap applies; padding lanes add kick × 0.
+                    let kick = kick_scale * rng.uniform();
+                    for i in 0..W {
+                        phases[i] = wrap(phases[i] + kick * kick_mults[i]);
+                    }
+                }
+                bits = (bits << 1) | u64::from(bit);
+            }
+            *word = bits;
+        }
+        self.phases[..W].copy_from_slice(&phases);
     }
 
     /// Generates `n` cycles (1..=64), oldest bit first: the first cycle
@@ -240,11 +318,9 @@ impl BlockKernel {
     #[inline]
     pub fn next_bits(&mut self, rng: &mut NoiseRng, n: u32) -> u64 {
         assert!((1..=64).contains(&n), "next_bits takes 1..=64, got {n}");
-        let mut word = 0u64;
-        for _ in 0..n {
-            word = (word << 1) | u64::from(self.cycle(rng));
-        }
-        word
+        let mut word = [0u64];
+        self.run(rng, n, &mut word);
+        word[0]
     }
 
     /// Generates a full 64-cycle word (oldest cycle in the MSB).
@@ -253,17 +329,23 @@ impl BlockKernel {
         self.next_bits(rng, 64)
     }
 
-    /// Fills `buf` through the kernel — eight bytes per word, then an
-    /// 8-cycle chunk per tail byte. The block body behind every batched
-    /// `Trng::fill_bytes`; callers build one kernel per buffer and
-    /// [`write_back`](Self::write_back) once at the end.
+    /// Fills `buf` through the kernel — eight bytes per 64-cycle word,
+    /// then an 8-cycle chunk per tail byte. The block body behind every
+    /// batched `Trng::fill_bytes`; callers build one kernel per buffer
+    /// and [`write_back`](Self::write_back) once at the end.
     pub fn fill_bytes(&mut self, rng: &mut NoiseRng, buf: &mut [u8]) {
-        let mut chunks = buf.chunks_exact_mut(8);
-        for chunk in chunks.by_ref() {
-            chunk.copy_from_slice(&self.next_word(rng).to_be_bytes());
-        }
-        for slot in chunks.into_remainder() {
-            *slot = self.next_bits(rng, 8) as u8;
+        let mut words = [0u64; 64];
+        for block in buf.chunks_mut(8 * words.len()) {
+            let whole = block.len() / 8;
+            self.run(rng, 64, &mut words[..whole]);
+            for (bytes, word) in block.chunks_exact_mut(8).zip(&words) {
+                bytes.copy_from_slice(&word.to_be_bytes());
+            }
+            let tail = &mut block[whole * 8..];
+            self.run(rng, 8, &mut words[..tail.len()]);
+            for (byte, word) in tail.iter_mut().zip(&words) {
+                *byte = *word as u8;
+            }
         }
     }
 
@@ -325,32 +407,37 @@ mod tests {
 
     #[test]
     fn kernel_matches_reference_with_and_without_feedback() {
-        let mults = [0.37, 0.81, 0.12, 0.64, 0.29, 0.93, 0.55];
-        for feedback in [None, Some((0.3, &mults[..]))] {
-            let mut ref_beats = bank(5, 7);
-            let mut kernel_beats = ref_beats.clone();
-            let mut ref_rng = NoiseRng::seed_from_u64(9);
-            let mut kernel_rng = NoiseRng::seed_from_u64(9);
-            let (p_rand, bias) = (0.73, 2.1e-4);
+        // Both padded widths, each at a partial and a full bank.
+        for size in [7, NARROW, NARROW + 1, MAX_BEATS] {
+            let mut mult_rng = NoiseRng::seed_from_u64(size as u64);
+            let mults: Vec<f64> = (0..size).map(|_| mult_rng.uniform()).collect();
+            for feedback in [None, Some((0.3, &mults[..]))] {
+                let mut ref_beats = bank(5, size);
+                let mut kernel_beats = ref_beats.clone();
+                let mut ref_rng = NoiseRng::seed_from_u64(9);
+                let mut kernel_rng = NoiseRng::seed_from_u64(9);
+                let (p_rand, bias) = (0.73, 2.1e-4);
 
-            let mut kernel =
-                BlockKernel::new(&kernel_beats, p_rand, bias, feedback).expect("7 <= MAX_BEATS");
-            let mut kernel_bits = Vec::new();
-            for _ in 0..8 {
-                let word = kernel.next_word(&mut kernel_rng);
-                kernel_bits.extend((0..64).rev().map(|i| (word >> i) & 1 == 1));
-            }
-            kernel.write_back(&mut kernel_beats);
+                let mut kernel = BlockKernel::new(&kernel_beats, p_rand, bias, feedback)
+                    .expect("size <= MAX_BEATS");
+                let mut kernel_bits = Vec::new();
+                for _ in 0..8 {
+                    let word = kernel.next_word(&mut kernel_rng);
+                    kernel_bits.extend((0..64).rev().map(|i| (word >> i) & 1 == 1));
+                }
+                kernel.write_back(&mut kernel_beats);
 
-            let ref_bits: Vec<bool> = (0..512)
-                .map(|_| reference_bit(&mut ref_beats, &mut ref_rng, p_rand, bias, feedback))
-                .collect();
+                let ref_bits: Vec<bool> = (0..512)
+                    .map(|_| reference_bit(&mut ref_beats, &mut ref_rng, p_rand, bias, feedback))
+                    .collect();
 
-            assert_eq!(kernel_bits, ref_bits, "feedback = {}", feedback.is_some());
-            // The written-back bank continues in lockstep with the
-            // reference bank.
-            for (a, b) in ref_beats.iter().zip(&kernel_beats) {
-                assert_eq!(a.phase(), b.phase());
+                let label = format!("{size} beats, feedback = {}", feedback.is_some());
+                assert_eq!(kernel_bits, ref_bits, "{label}");
+                // The written-back bank continues in lockstep with the
+                // reference bank.
+                for (a, b) in ref_beats.iter().zip(&kernel_beats) {
+                    assert_eq!(a.phase(), b.phase(), "{label}");
+                }
             }
         }
     }
@@ -362,7 +449,7 @@ mod tests {
         let mut rng_b = NoiseRng::seed_from_u64(4);
         let mut a = BlockKernel::new(&beats, 0.6, 1e-4, None).unwrap();
         let mut b = BlockKernel::new(&beats, 0.6, 1e-4, None).unwrap();
-        let bits: Vec<bool> = (0..12).map(|_| a.cycle(&mut rng_a)).collect();
+        let bits: Vec<bool> = (0..12).map(|_| a.next_bits(&mut rng_a, 1) == 1).collect();
         let word = b.next_bits(&mut rng_b, 12);
         let unpacked: Vec<bool> = (0..12).rev().map(|i| (word >> i) & 1 == 1).collect();
         assert_eq!(bits, unpacked);

@@ -41,10 +41,11 @@
 //! ```
 
 #![deny(missing_docs)]
-// `deny`, not `forbid`: the bit-sliced kernel's AVX2 dispatch needs two
-// narrowly-scoped `#[allow(unsafe_code)]` items (a `target_feature`
-// function and its feature-checked call site in `slice`); everything
-// else stays unsafe-free and any new unsafe is still a hard error.
+// `deny`, not `forbid`: the AVX2 dispatch of the scalar and bit-sliced
+// kernels needs narrowly-scoped `#[allow(unsafe_code)]` items (one
+// `target_feature` function and its feature-checked call site each in
+// `batch` and `slice`); everything else stays unsafe-free and any new
+// unsafe is still a hard error.
 #![deny(unsafe_code)]
 
 pub mod architecture;
@@ -56,6 +57,7 @@ pub mod health;
 pub mod kernel;
 pub mod model;
 pub mod postproc;
+mod simd;
 pub mod slice;
 pub mod telemetry;
 pub mod trng;

@@ -42,8 +42,8 @@
 //!
 //! The per-cycle sweep has two compilations: a portable safe-Rust body
 //! (every target), and the same body compiled with
-//! `#[target_feature(enable = "avx2")]` on x86-64, selected once at
-//! construction via `is_x86_feature_detected!`. The bodies are the same
+//! `#[target_feature(enable = "avx2")]` on x86-64, selected by the
+//! process-wide detection the scalar kernel shares. The bodies are the same
 //! source — the AVX2 copy just licenses the autovectoriser to use
 //! 256-bit lanes — so the two paths cannot diverge. Set `DHTRNG_SIMD=
 //! portable` to pin the portable body (e.g. to cross-check the
@@ -69,6 +69,7 @@ use dhtrng_noise::NoiseRng;
 
 use crate::batch::MAX_BEATS;
 use crate::model::BeatOscillator;
+use crate::simd::Backend;
 use crate::trng::{DhTrng, Trng};
 
 /// Maximum number of lanes a [`SlicedKernel`] carries — one per bit of
@@ -220,32 +221,6 @@ impl Lane {
     }
 }
 
-/// Which compilation of the per-cycle sweep this kernel dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Backend {
-    /// Safe portable body (every target; also the `DHTRNG_SIMD=portable`
-    /// override).
-    Portable,
-    /// The same body compiled under `#[target_feature(enable = "avx2")]`
-    /// (x86-64 with runtime-detected AVX2 only).
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-}
-
-fn detect_backend() -> Backend {
-    let forced = std::env::var("DHTRNG_SIMD").ok();
-    if forced.as_deref() == Some("portable") {
-        return Backend::Portable;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx2") {
-            return Backend::Avx2;
-        }
-    }
-    Backend::Portable
-}
-
 /// The lane-parallel generation kernel (see the [module docs](self)).
 ///
 /// All state is structure-of-arrays, padded to a `LANE_STRIDE` (= 4)
@@ -327,7 +302,7 @@ impl SlicedKernel {
             s2: vec![0; width],
             s3: vec![0; width],
             any_feedback: false,
-            backend: detect_backend(),
+            backend: Backend::detected(),
             beat_xor: vec![0; width],
             kicks: vec![0.0; width],
             words: vec![0; width],
@@ -355,11 +330,7 @@ impl SlicedKernel {
     /// Name of the dispatched sweep compilation (`"avx2"` or
     /// `"portable"`), for diagnostics and bench reports.
     pub fn backend_name(&self) -> &'static str {
-        match self.backend {
-            Backend::Portable => "portable",
-            #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => "avx2",
-        }
+        self.backend.name()
     }
 
     /// (Re)loads lane `lane`'s full hot state from a snapshot: beat
@@ -463,10 +434,10 @@ impl SlicedKernel {
             Backend::Portable => self.cycles_portable(n),
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => {
-                // SAFETY: Backend::Avx2 is only ever selected by
-                // `detect_backend` after `is_x86_feature_detected!
-                // ("avx2")` returned true on this machine, so the
-                // target-feature function's contract holds.
+                // SAFETY: Backend::Avx2 is only ever detected after
+                // `is_x86_feature_detected!("avx2")` returned true on
+                // this machine, so the target-feature function's
+                // contract holds.
                 #[allow(unsafe_code)]
                 unsafe {
                     self.cycles_avx2(n)

@@ -24,12 +24,21 @@ const PLACEMENT_PITCH: u32 = 4;
 /// the worker, one being drained by the consumer.
 const POOL_SLACK: usize = 2;
 
-/// Measured single-core advantage of the sliced bank over one scalar
-/// worker: BENCH_6 recorded `kernel.speedup = 1.86x` on this class of
-/// host (one thread driving all lanes SIMD-style vs one thread per
-/// shard). The [`KernelKind::cost_model`] compares this constant
-/// against the parallelism scalar workers could actually harvest.
-const SLICED_SINGLE_CORE_ADVANTAGE: f64 = 1.8;
+/// Measured cost of the sliced bank per lane-bit, as a multiple of the
+/// scalar kernel's cost per bit on the same core, by bank size:
+/// `(lanes, ratio)`, ascending. Both kernels ran interleaved in one
+/// process on a 2-vCPU x86-64 VM with AVX2 (the fixed-width scalar
+/// kernel at ~8.7 ns/bit); the largest median of three runs. Per
+/// lane-bit the bank only drops below one scalar bit at 32 lanes and
+/// more.
+const SLICED_COST_PER_LANE_BIT: [(usize, f64); 6] = [
+    (2, 4.1),
+    (4, 2.2),
+    (8, 1.7),
+    (16, 1.06),
+    (32, 0.96),
+    (64, 0.95),
+];
 
 /// Which generation kernel the shard producers run on.
 ///
@@ -60,27 +69,31 @@ pub enum KernelKind {
 impl KernelKind {
     /// The kernel [`Auto`](Self::Auto) resolves to (absent a
     /// `DHTRNG_KERNEL` override) for a given shard count on a host with
-    /// `host_cpus` usable CPUs — the first *measured* cost model,
-    /// replacing the old "≥ 2 shards → sliced" rule:
+    /// `host_cpus` usable CPUs:
     ///
     /// * one shard has no parallelism to harvest and no bank to
     ///   amortise → [`Scalar`](Self::Scalar);
-    /// * the sliced bank runs on **one** core at ~1.8x a single scalar
-    ///   worker (BENCH_6 `kernel.speedup`); N scalar workers can use up
-    ///   to `min(shards, host_cpus)` cores at ~1.0x each. Sliced wins
-    ///   exactly when `1.8 ≥ min(shards, host_cpus)` — so a 1-CPU host
-    ///   keeps the sliced bank for multi-shard streams (threads cannot
-    ///   buy anything there), while a genuinely multi-core host
-    ///   switches to per-shard threads.
+    /// * the sliced bank runs all `shards` lanes on **one** core, at the
+    ///   measured per-lane-bit cost `r` of the largest measured bank
+    ///   size not above `shards` (costs fall with bank size, so this
+    ///   never flatters the bank); N scalar workers use
+    ///   `min(shards, host_cpus)` cores at one scalar bit each. Sliced
+    ///   wins exactly when `r × min(shards, host_cpus) < 1` — which,
+    ///   against the fixed-width scalar kernel, only a 1-CPU host with
+    ///   32 or more shards satisfies.
     ///
     /// Pure and public so the bench report can log the decision it
     /// predicts and tests can mirror it against the real host.
     pub fn cost_model(shards: usize, host_cpus: usize) -> KernelKind {
-        if shards < 2 {
+        let Some(&(_, ratio)) = SLICED_COST_PER_LANE_BIT
+            .iter()
+            .rev()
+            .find(|&&(lanes, _)| lanes <= shards)
+        else {
             return KernelKind::Scalar;
-        }
+        };
         let scalar_cores = shards.min(host_cpus.max(1));
-        if SLICED_SINGLE_CORE_ADVANTAGE >= scalar_cores as f64 {
+        if ratio * (scalar_cores as f64) < 1.0 {
             KernelKind::Sliced
         } else {
             KernelKind::Scalar
@@ -936,12 +949,19 @@ mod tests {
         // One shard: nothing to slice, nothing to parallelise.
         assert_eq!(KernelKind::cost_model(1, 1), KernelKind::Scalar);
         assert_eq!(KernelKind::cost_model(1, 16), KernelKind::Scalar);
-        // A 1-CPU host cannot harvest thread parallelism: the bank's
-        // measured ~1.8x single-core advantage stands.
-        assert_eq!(KernelKind::cost_model(2, 1), KernelKind::Sliced);
-        assert_eq!(KernelKind::cost_model(8, 1), KernelKind::Sliced);
-        assert_eq!(KernelKind::cost_model(4, 0), KernelKind::Sliced);
-        // Two or more usable cores beat the 1.8x bank.
+        // A 1-CPU host cannot harvest thread parallelism, but below 32
+        // lanes the bank costs more per lane-bit than the scalar kernel
+        // costs per bit, so one scalar core still wins.
+        assert_eq!(KernelKind::cost_model(2, 1), KernelKind::Scalar);
+        assert_eq!(KernelKind::cost_model(8, 1), KernelKind::Scalar);
+        assert_eq!(KernelKind::cost_model(4, 0), KernelKind::Scalar);
+        assert_eq!(KernelKind::cost_model(16, 1), KernelKind::Scalar);
+        assert_eq!(KernelKind::cost_model(31, 1), KernelKind::Scalar);
+        // From 32 lanes the bank is the cheaper single core.
+        assert_eq!(KernelKind::cost_model(32, 1), KernelKind::Sliced);
+        assert_eq!(KernelKind::cost_model(64, 1), KernelKind::Sliced);
+        // A second usable core beats every measured bank size.
+        assert_eq!(KernelKind::cost_model(64, 2), KernelKind::Scalar);
         assert_eq!(KernelKind::cost_model(2, 2), KernelKind::Scalar);
         assert_eq!(KernelKind::cost_model(4, 4), KernelKind::Scalar);
         // Shards bound the harvestable cores, not the host.

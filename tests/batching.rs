@@ -18,6 +18,47 @@ fn per_bit<T: Trng>(trng: &mut T, n: usize) -> Vec<bool> {
     (0..n).map(|_| trng.next_bit()).collect()
 }
 
+/// Packs bits into bytes, oldest bit in each byte's MSB — the
+/// `fill_bytes` packing.
+fn pack(bits: &[bool]) -> Vec<u8> {
+    bits.chunks(8)
+        .map(|byte| byte.iter().fold(0u8, |b, &bit| (b << 1) | u8::from(bit)))
+        .collect()
+}
+
+/// Asserts two byte streams are identical, naming the first differing
+/// byte instead of dumping tens of kilobytes.
+fn assert_same_bytes(name: &str, got: &[u8], want: &[u8]) {
+    assert_eq!(got.len(), want.len(), "{name}: length");
+    if let Some(at) = got.iter().zip(want).position(|(a, b)| a != b) {
+        panic!(
+            "{name}: first differing byte at {at} of {} ({:#04x} vs {:#04x})",
+            want.len(),
+            got[at],
+            want[at]
+        );
+    }
+}
+
+/// Asserts that `fill_bytes` over more than 64 KiB, split into calls
+/// whose lengths are not multiples of 8, reproduces the per-bit
+/// stream. Long runs cross many of the kernel's internal word blocks;
+/// the odd lengths exercise its byte tails and make later calls start
+/// mid-stream.
+fn assert_long_fill_equivalent<T: Trng>(name: &str, make: impl Fn() -> T) {
+    const SIZES: [usize; 3] = [64 * 1024 + 5, 1_003, 13];
+    let total: usize = SIZES.iter().sum();
+    let reference = pack(&per_bit(&mut make(), total * 8));
+    let mut gen = make();
+    let mut batched = vec![0u8; total];
+    let mut at = 0;
+    for size in SIZES {
+        gen.fill_bytes(&mut batched[at..at + size]);
+        at += size;
+    }
+    assert_same_bytes(name, &batched, &reference);
+}
+
 /// Asserts every batched entry point reproduces the per-bit stream.
 /// `make` must build identical generator states on every call.
 fn assert_batching_equivalent<T: Trng>(name: &str, make: impl Fn() -> T) {
@@ -60,16 +101,18 @@ fn assert_batching_equivalent<T: Trng>(name: &str, make: impl Fn() -> T) {
     let n_bytes = BITS / 8; // 125: 15 whole words + 5 tail bytes
     let mut buf = vec![0u8; n_bytes];
     make().fill_bytes(&mut buf);
-    let reference_bytes: Vec<u8> = reference[..n_bytes * 8]
-        .chunks(8)
-        .map(|bits| bits.iter().fold(0u8, |b, &bit| (b << 1) | u8::from(bit)))
-        .collect();
-    assert_eq!(buf, reference_bytes, "{name}: fill_bytes");
+    assert_eq!(buf, pack(&reference[..n_bytes * 8]), "{name}: fill_bytes");
 }
 
 #[test]
 fn dh_trng_batched_paths_match_per_bit() {
     assert_batching_equivalent("DhTrng", || DhTrng::builder().seed(0xABCD).build());
+    assert_batching_equivalent("DhTrng/cold-high-vdd", || {
+        DhTrng::builder()
+            .corner(PvtCorner::new(-20.0, 1.2))
+            .seed(0xC0DE)
+            .build()
+    });
 }
 
 #[test]
@@ -97,6 +140,16 @@ fn hybrid_unit_group_batched_paths_match_per_bit() {
     assert_batching_equivalent("HybridUnitGroup/9stage-18", || {
         HybridUnitGroup::nine_stage_ro(18, 4)
     });
+    // 16 beats is the largest bank of the kernel's narrow padded
+    // width; 17 and 18 (the largest Table 2 group) run at the wide one.
+    for n in [16, 17, 18] {
+        assert_batching_equivalent(&format!("HybridUnitGroup/hybrid-{n}"), || {
+            HybridUnitGroup::hybrid(n, 0x600 + u64::from(n))
+        });
+        assert_long_fill_equivalent(&format!("HybridUnitGroup/9stage-{n}"), || {
+            HybridUnitGroup::nine_stage_ro(n, 0x700 + u64::from(n))
+        });
+    }
 }
 
 #[test]
@@ -109,6 +162,42 @@ fn baseline_batched_paths_match_per_bit() {
     assert_batching_equivalent("TerotTrng", || TerotTrng::new(10));
     assert_batching_equivalent("MetastableCmTrng", || MetastableCmTrng::new(11));
     assert_batching_equivalent("DualModePufTrng", || DualModePufTrng::new(12));
+}
+
+#[test]
+fn dh_trng_long_fills_match_per_bit() {
+    assert_long_fill_equivalent("DhTrng", || DhTrng::builder().seed(0xF111).build());
+    assert_long_fill_equivalent("DhTrng/hot-low-vdd", || {
+        DhTrng::builder()
+            .corner(PvtCorner::new(80.0, 0.8))
+            .seed(0xF112)
+            .build()
+    });
+    assert_long_fill_equivalent("DhTrng/no-feedback", || {
+        DhTrng::builder().seed(0xF113).feedback(false).build()
+    });
+    assert_long_fill_equivalent("DhTrng/no-coupling", || {
+        DhTrng::builder().seed(0xF114).coupling(false).build()
+    });
+}
+
+#[test]
+fn dh_trng_restart_mid_stream_matches_per_bit() {
+    // A restart re-draws the power-up state between two kernel builds;
+    // the batched stream must follow the per-bit one across it.
+    let make = || DhTrng::builder().seed(0x5EED).build();
+    let (before, after) = (32 * 1024 + 3, 32 * 1024 + 7);
+    let mut reference = make();
+    let mut bits = per_bit(&mut reference, before * 8);
+    reference.restart();
+    bits.extend(per_bit(&mut reference, after * 8));
+
+    let mut gen = make();
+    let mut bytes = vec![0u8; before + after];
+    gen.fill_bytes(&mut bytes[..before]);
+    gen.restart();
+    gen.fill_bytes(&mut bytes[before..]);
+    assert_same_bytes("DhTrng/restart", &bytes, &pack(&bits));
 }
 
 #[test]
