@@ -61,12 +61,23 @@
 //!    partial-byte tail included). `conditioning.block_speedup` is the
 //!    CRC-16 ratio-2 ratio — the pipeline's default conditioner — and
 //!    CI fails the job when any `match` flag is false or when the
-//!    conditioned-tier read path allocates.
+//!    conditioned-tier read path allocates;
+//! 10. **health gate** — median ns per bit of the shard workers'
+//!     SP 800-90B gate on one 64 KiB chunk per shard seed, through the
+//!     bit-serial `HealthMonitor::feed` fold vs the word-parallel
+//!     `HealthMonitor::feed_bytes`, plus a `match` flag (equal verdict
+//!     and full monitor state on a healthy, a stuck and a 75%-biased
+//!     chunk); CI fails the job when `match` is false.
+//!
+//! Every section that reads a running stream (2, 3, 7 and 8) first
+//! drains twice the deployment's buffered depth, then times a fixed
+//! read count, so no timed read is served from the rings the workers
+//! filled during set-up.
 //!
 //! Usage: `bench_report [--quick] [--out PATH]` (default
 //! `BENCH_9.json` in the working directory; CI uploads it as a
 //! workflow artifact and compares it against the committed snapshot:
-//! a non-zero `allocs_per_read`, a false conditioning `match`, or
+//! a non-zero `allocs_per_read`, a false conditioning or health `match`, or
 //! a 20%+ drop in the batching speedup **fails the job**, while
 //! raw-Mbps and serve-latency drifts stay warnings — wall-clock
 //! throughput on shared runners is too noisy to gate on).
@@ -80,11 +91,12 @@ use dhtrng_core::conditioning::{
     BitSink, Conditioner, CrcWhitener, LfsrConditioner, VonNeumannConditioner, XorFold,
 };
 use dhtrng_core::drbg::DrbgConfig;
-use dhtrng_core::{DhTrng, SlicedDhTrng, Trng};
+use dhtrng_core::{DhTrng, HealthMonitor, HealthStatus, SlicedDhTrng, Trng};
+use dhtrng_noise::NoiseRng;
 use dhtrng_serve::{loadgen, LoadConfig, Service};
 use dhtrng_stream::{
-    ring, AffinityPolicy, ConditionerSpec, EntropySource, EntropyStream, KernelKind,
-    PipelineBuilder, Tier,
+    ring, AffinityPolicy, ConditionerSpec, EntropySource, EntropyStream, EntropyStreamBuilder,
+    KernelKind, PipelineBuilder, Tier,
 };
 
 /// `System`, plus a global count of allocation events (alloc,
@@ -141,23 +153,52 @@ fn time_mean_s<F: FnMut()>(mut routine: F, budget_s: f64) -> f64 {
     start.elapsed().as_secs_f64() / reps as f64
 }
 
-/// One pipeline tier over a 4-shard deployment: (simulated Mbps,
-/// modeled Mbps).
-fn measure_tier(tier: Tier, read_bytes: usize, budget_s: f64) -> (f64, f64) {
+/// Chunk size of every measured stream deployment.
+const CHUNK_BYTES: usize = 64 * 1024;
+
+/// Data-ring depth of every measured stream deployment (the builders'
+/// default, spelled out because the drain depth depends on it).
+const QUEUE_CHUNKS: usize = 4;
+
+/// Steady-state seconds per read of a running stream deployment with
+/// `shards` shards. First drains `2 × shards × (QUEUE_CHUNKS + 2)`
+/// chunk-sized reads — twice the buffered depth, so no timed read is
+/// served from the rings the workers filled during set-up — then times
+/// a fixed `reads` reads into `buf`, which the workers' generation
+/// paces.
+fn steady_read_s(
+    shards: usize,
+    buf: &mut [u8],
+    reads: usize,
+    mut read: impl FnMut(&mut [u8]),
+) -> f64 {
+    let mut chunk = vec![0u8; CHUNK_BYTES];
+    for _ in 0..2 * shards * (QUEUE_CHUNKS + 2) {
+        read(&mut chunk);
+    }
+    let start = Instant::now();
+    for _ in 0..reads {
+        read(buf);
+        std::hint::black_box(buf[0]);
+    }
+    start.elapsed().as_secs_f64() / reads as f64
+}
+
+/// One pipeline tier over a 4-shard deployment, `reads` steady-state
+/// reads of `read_bytes`: (simulated Mbps, modeled Mbps).
+fn measure_tier(tier: Tier, read_bytes: usize, reads: usize) -> (f64, f64) {
+    let shards = 4;
     let mut stream = PipelineBuilder::new()
-        .shards(4)
+        .shards(shards)
         .seed(1)
-        .chunk_bytes(64 * 1024)
+        .chunk_bytes(CHUNK_BYTES)
+        .queue_chunks(QUEUE_CHUNKS)
         .build(tier);
     let modeled = stream.throughput_mbps();
     let mut buf = vec![0u8; read_bytes];
-    let seconds = time_mean_s(
-        || {
-            stream.read(&mut buf).expect("healthy pipeline");
-            std::hint::black_box(buf[0]);
-        },
-        budget_s,
-    );
+    let seconds = steady_read_s(shards, &mut buf, reads, |out| {
+        stream.read(out).expect("healthy pipeline")
+    });
     (read_bytes as f64 * 8.0 / seconds / 1e6, modeled)
 }
 
@@ -233,36 +274,25 @@ const TELEMETRY_TIMED_READS: usize = 128;
 /// `measure_steady_state_allocs`, so recorder-off here is the same
 /// path the `allocation` section measures.
 ///
-/// Before timing, the consumer drains twice the deployment's buffered
-/// depth (`2 × shards × (queue_chunks + 2)` chunks), so no timed read
-/// is served from the rings the workers filled during set-up; then it
-/// times [`TELEMETRY_TIMED_READS`] reads, which the workers'
-/// generation paces.
+/// Timed with [`steady_read_s`] over [`TELEMETRY_TIMED_READS`] reads.
 fn measure_telemetry_point(
     recorder: Option<std::sync::Arc<dyn dhtrng_stream::Recorder>>,
     alloc_reads: usize,
 ) -> (f64, f64) {
     let shards = 4;
-    let queue_chunks = 4;
-    let chunk = 64 * 1024;
     let mut builder = EntropyStream::builder()
         .shards(shards)
         .seed(1)
-        .chunk_bytes(chunk)
-        .queue_chunks(queue_chunks);
+        .chunk_bytes(CHUNK_BYTES)
+        .queue_chunks(QUEUE_CHUNKS);
     if let Some(recorder) = recorder {
         builder = builder.recorder(recorder);
     }
     let mut stream = builder.build();
-    let mut buf = vec![0u8; chunk];
-    for _ in 0..2 * shards * (queue_chunks + 2) {
-        stream.read(&mut buf).expect("healthy stream");
-    }
-    let start = Instant::now();
-    for _ in 0..TELEMETRY_TIMED_READS {
-        stream.read(&mut buf).expect("healthy stream");
-    }
-    let seconds = start.elapsed().as_secs_f64() / TELEMETRY_TIMED_READS as f64;
+    let mut buf = vec![0u8; CHUNK_BYTES];
+    let seconds = steady_read_s(shards, &mut buf, TELEMETRY_TIMED_READS, |out| {
+        stream.read(out).expect("healthy stream")
+    });
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     for _ in 0..alloc_reads {
         stream.read(&mut buf).expect("healthy stream");
@@ -275,28 +305,26 @@ fn measure_telemetry_point(
 /// Raw-tier wall-clock Mbps of one `EntropyStream` deployment with the
 /// kernel forced and `core_affinity(PerShard)` engaged (a no-op on
 /// 1-CPU hosts — `AffinityPolicy::core_for_worker` declines to pin).
+/// Timed with [`steady_read_s`] over `reads` reads of `read_bytes`.
 /// Returns `(mbps, affinity_pins)`.
 fn measure_scaling_point(
     shards: usize,
     kernel: KernelKind,
     read_bytes: usize,
-    budget_s: f64,
+    reads: usize,
 ) -> (f64, u64) {
     let mut stream = EntropyStream::builder()
         .shards(shards)
         .seed(1)
-        .chunk_bytes(64 * 1024)
+        .chunk_bytes(CHUNK_BYTES)
+        .queue_chunks(QUEUE_CHUNKS)
         .kernel(kernel)
         .core_affinity(AffinityPolicy::PerShard)
         .build();
     let mut buf = vec![0u8; read_bytes];
-    let seconds = time_mean_s(
-        || {
-            stream.read(&mut buf).expect("healthy stream");
-            std::hint::black_box(buf[0]);
-        },
-        budget_s,
-    );
+    let seconds = steady_read_s(shards, &mut buf, reads, |out| {
+        stream.read(out).expect("healthy stream")
+    });
     (
         read_bytes as f64 * 8.0 / seconds / 1e6,
         stream.affinity_pins(),
@@ -506,6 +534,94 @@ fn measure_conditioned_allocs(reads: usize) -> f64 {
     (after - before) as f64 / reads as f64
 }
 
+/// The shard's SP 800-90B health gate both ways: median ns per bit
+/// through the bit-serial `feed` fold and through the word-parallel
+/// `feed_bytes`, on the same chunks, plus one bit-exactness row per
+/// source shape.
+struct HealthReport {
+    serial_ns_per_bit: f64,
+    block_ns_per_bit: f64,
+    /// `(source, verdict, block path equal in verdict and state)`.
+    cases: Vec<(&'static str, HealthStatus, bool)>,
+}
+
+/// The reference gate: every bit through `feed`, MSB first, stopping
+/// at the first trip.
+fn serial_gate(monitor: &mut HealthMonitor, chunk: &[u8]) -> HealthStatus {
+    for &byte in chunk {
+        for i in (0..8).rev() {
+            let status = monitor.feed((byte >> i) & 1 == 1);
+            if status != HealthStatus::Ok {
+                return status;
+            }
+        }
+    }
+    HealthStatus::Ok
+}
+
+/// Median over `trials` of the ns per bit `gate` takes to pass every
+/// chunk `passes` times through one default monitor.
+fn time_gate(
+    chunks: &[Vec<u8>],
+    trials: usize,
+    passes: usize,
+    gate: impl Fn(&mut HealthMonitor, &[u8]) -> HealthStatus,
+) -> f64 {
+    let bits = (passes * chunks.iter().map(Vec::len).sum::<usize>() * 8) as f64;
+    let mut samples: Vec<f64> = (0..trials)
+        .map(|_| {
+            let mut monitor = HealthMonitor::new();
+            let start = Instant::now();
+            for _ in 0..passes {
+                for chunk in chunks {
+                    std::hint::black_box(gate(&mut monitor, chunk));
+                }
+            }
+            start.elapsed().as_secs_f64() * 1e9 / bits
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// The health-gate section over one 64 KiB chunk per shard seed of the
+/// 4-shard, seed-1 deployment. The match rows run first, on fresh
+/// monitors: a healthy shard chunk, a stuck-at-one chunk and a
+/// 75%-biased chunk.
+fn measure_health(trials: usize, passes: usize) -> HealthReport {
+    let chunks: Vec<Vec<u8>> = (0..4)
+        .map(|shard| {
+            let seed = EntropyStreamBuilder::derive_shard_seed(1, shard);
+            let mut chunk = vec![0u8; CHUNK_BYTES];
+            DhTrng::builder().seed(seed).build().fill_bytes(&mut chunk);
+            chunk
+        })
+        .collect();
+    let mut rng = NoiseRng::seed_from_u64(75);
+    let biased: Vec<u8> = (0..CHUNK_BYTES)
+        .map(|_| (0..8).fold(0u8, |byte, _| byte << 1 | u8::from(rng.bernoulli(0.75))))
+        .collect();
+    let stuck = vec![0xFFu8; CHUNK_BYTES];
+    let cases = [
+        ("healthy", &chunks[0]),
+        ("stuck", &stuck),
+        ("biased75", &biased),
+    ]
+    .into_iter()
+    .map(|(name, chunk)| {
+        let (mut serial, mut block) = (HealthMonitor::new(), HealthMonitor::new());
+        let verdict = serial_gate(&mut serial, chunk);
+        let matches = block.feed_bytes(chunk) == verdict && block == serial;
+        (name, verdict, matches)
+    })
+    .collect();
+    HealthReport {
+        serial_ns_per_bit: time_gate(&chunks, trials, passes, serial_gate),
+        block_ns_per_bit: time_gate(&chunks, trials, passes, HealthMonitor::feed_bytes),
+        cases,
+    }
+}
+
 /// Fleet latency over the daemon's connection state machine: one
 /// shared 4-shard source, `clients` concurrent drbg sessions, full
 /// wire round-trips per read. Aborts on any protocol error or
@@ -552,6 +668,9 @@ fn main() {
     // The conditioned tier pays the compression ratio in wall-clock
     // too, so read a fraction of the raw volume per iteration.
     let tier_bytes: usize = if quick { 1 << 16 } else { 1 << 20 };
+    // Bytes read per timed steady-state stream measurement (after the
+    // drain), as a fixed read count at each section's read size.
+    let steady_bytes: usize = if quick { 1 << 21 } else { 1 << 23 };
     let alloc_reads: usize = if quick { 48 } else { 192 };
     let serve_clients: usize = if quick { 200 } else { 1000 };
     let serve_reads: usize = if quick { 8 } else { 16 };
@@ -589,16 +708,14 @@ fn main() {
         let mut stream = EntropyStream::builder()
             .shards(shards)
             .seed(1)
-            .chunk_bytes(64 * 1024)
+            .chunk_bytes(CHUNK_BYTES)
+            .queue_chunks(QUEUE_CHUNKS)
             .build();
         modeled_mbps[slot] = stream.throughput_mbps();
-        let seconds = time_mean_s(
-            || {
-                stream.read(&mut stream_buf).expect("healthy stream");
-                std::hint::black_box(stream_buf[0]);
-            },
-            budget_s,
-        );
+        let reads = (steady_bytes / stream_bytes).max(1);
+        let seconds = steady_read_s(shards, &mut stream_buf, reads, |out| {
+            stream.read(out).expect("healthy stream")
+        });
         wallclock_mbps[slot] = stream_bytes as f64 * 8.0 / seconds / 1e6;
     }
     let wallclock_scaling = wallclock_mbps[1] / wallclock_mbps[0];
@@ -609,9 +726,10 @@ fn main() {
     // Stage metadata is derived from the defaults the measured streams
     // actually run, so a changed default can never be mislabeled.
     let conditioner = format!("{:?}", ConditionerSpec::default());
-    let (raw_sim, raw_model) = measure_tier(Tier::Raw, tier_bytes, budget_s);
-    let (cond_sim, cond_model) = measure_tier(Tier::Conditioned, tier_bytes, budget_s);
-    let (drbg_sim, drbg_model) = measure_tier(Tier::Drbg, tier_bytes, budget_s);
+    let tier_reads = steady_bytes / tier_bytes;
+    let (raw_sim, raw_model) = measure_tier(Tier::Raw, tier_bytes, tier_reads);
+    let (cond_sim, cond_model) = measure_tier(Tier::Conditioned, tier_bytes, tier_reads);
+    let (drbg_sim, drbg_model) = measure_tier(Tier::Drbg, tier_bytes, tier_reads);
 
     // 4. Steady-state allocation count on the raw-tier read path.
     let (allocs_per_read, alloc_reads_measured) = measure_steady_state_allocs(alloc_reads);
@@ -678,6 +796,20 @@ fn main() {
     let conditioning_machines = conditioning_rows.join(",\n");
     let conditioned_allocs = measure_conditioned_allocs(alloc_reads);
 
+    // 10. Health gate: the per-bit serial fold vs the word-parallel
+    // block gate the shard workers run, with a bit-exactness check.
+    let health = measure_health(5, if quick { 2 } else { 8 });
+    let health_speedup = health.serial_ns_per_bit / health.block_ns_per_bit;
+    let health_match = health.cases.iter().all(|&(_, _, matches)| matches);
+    let health_cases = health
+        .cases
+        .iter()
+        .map(|(name, verdict, matches)| {
+            format!(r#"      {{ "name": "{name}", "verdict": "{verdict:?}", "match": {matches} }}"#)
+        })
+        .collect::<Vec<_>>()
+        .join(",\n");
+
     let (telemetry_off_ns, _) = measure_telemetry_point(None, alloc_reads);
     let telemetry_tracer: std::sync::Arc<dyn dhtrng_stream::Recorder> =
         std::sync::Arc::new(dhtrng_stream::Tracer::deterministic(1024));
@@ -691,17 +823,18 @@ fn main() {
     // workers time-sharing one core, not multicore scaling.
     let scaling_measured = cpus > 1;
     let scaling_bytes: usize = if quick { 1 << 16 } else { 1 << 20 };
+    let scaling_reads = steady_bytes / scaling_bytes;
     let shard_counts = [1usize, 2, 4];
     let mut scaling_scalar_mbps = Vec::new();
     let mut scaling_sliced_mbps = Vec::new();
     let mut scaling_pins = 0u64;
     for shards in shard_counts {
         let (mbps, pins) =
-            measure_scaling_point(shards, KernelKind::Scalar, scaling_bytes, budget_s);
+            measure_scaling_point(shards, KernelKind::Scalar, scaling_bytes, scaling_reads);
         scaling_scalar_mbps.push(mbps);
         scaling_pins += pins;
         let (mbps, pins) =
-            measure_scaling_point(shards, KernelKind::Sliced, scaling_bytes, budget_s);
+            measure_scaling_point(shards, KernelKind::Sliced, scaling_bytes, scaling_reads);
         scaling_sliced_mbps.push(mbps);
         scaling_pins += pins;
     }
@@ -824,6 +957,18 @@ fn main() {
     ],
     "note": "ns per raw input bit through each conditioning machine, bit-serial push loop vs the table-driven condition_block path, on one deterministic mixed-content buffer. 'match' verifies the block path produced the bit-identical output stream (partial-byte tail included) on fresh machine state before timing; CI fails the job when any match is false. The headline block_speedup is crc-ratio2 — the pipeline's default conditioner — and the acceptance floor is 4x (see DESIGN.md section 12). conditioned_tier_allocs_per_read is heap allocations per steady-state conditioned-tier 64 KiB chunk read under the counting allocator: the ConditionerStage rewrites recycled buffers in place through stack staging, so CI fails the job on any non-zero value."
   }},
+  "health": {{
+    "chunk_bytes": {chunk_bytes},
+    "chunks": 4,
+    "serial_ns_per_bit": {health_serial:.4},
+    "block_ns_per_bit": {health_block:.4},
+    "block_speedup": {health_speedup:.3},
+    "match": {health_match},
+    "cases": [
+{health_cases}
+    ],
+    "note": "median ns per bit (5 trials) of the shard's SP 800-90B gate (RCT + APT, default cutoffs 32 / 1024 / 624) over one 64 KiB chunk per shard seed of the 4-shard seed-1 deployment: serial = HealthMonitor::feed once per bit, MSB first; block = HealthMonitor::feed_bytes, which commits a 64-bit word at once when no test can trip inside it and replays the rest through feed. 'match' requires equal verdicts and equal full monitor state on a healthy, a stuck and a 75%-biased chunk, checked on fresh monitors before timing; CI fails the job when it is false (see DESIGN.md section 5)."
+  }},
   "telemetry": {{
     "read_bytes_per_chunk": 65536,
     "recorder_off_ns_per_chunk": {telemetry_off_ns:.1},
@@ -894,6 +1039,12 @@ fn main() {
         handoff_allocs = handoff_allocs,
         auto_selected = auto_selected,
         auto_decision = auto_decision,
+        chunk_bytes = CHUNK_BYTES,
+        health_serial = health.serial_ns_per_bit,
+        health_block = health.block_ns_per_bit,
+        health_speedup = health_speedup,
+        health_match = health_match,
+        health_cases = health_cases,
         telemetry_off_ns = telemetry_off_ns,
         telemetry_on_ns = telemetry_on_ns,
         telemetry_overhead = telemetry_overhead,
@@ -903,7 +1054,7 @@ fn main() {
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
     print!("{json}");
     eprintln!(
-        "wrote {out_path} (batch speedup {batch_speedup:.2}x, modeled scaling {modeled_scaling:.2}x, wall-clock scaling {wallclock_scaling:.2}x on {cpus} cpu(s); tiers raw/conditioned/drbg = {raw_sim:.0}/{cond_sim:.0}/{drbg_sim:.0} simulated Mbps; {allocs_per_read:.2} allocs/read steady-state; serve {clients} clients p50/p99 = {p50:.1}/{p99:.1} us; kernel {selected_kernel}/{simd_backend} sliced-vs-scalar {kernel_speedup:.2}x; hand-off ring/mpsc = {handoff_ring_ns:.0}/{handoff_mpsc_ns:.0} ns, scaling measured = {scaling_measured}; telemetry overhead {telemetry_overhead:.3}x, {telemetry_on_allocs:.2} allocs/read recorder-on; conditioning crc2 block {conditioning_block_speedup:.2}x, all match = {conditioning_all_match})",
+        "wrote {out_path} (batch speedup {batch_speedup:.2}x, modeled scaling {modeled_scaling:.2}x, wall-clock scaling {wallclock_scaling:.2}x on {cpus} cpu(s); tiers raw/conditioned/drbg = {raw_sim:.0}/{cond_sim:.0}/{drbg_sim:.0} simulated Mbps; {allocs_per_read:.2} allocs/read steady-state; serve {clients} clients p50/p99 = {p50:.1}/{p99:.1} us; kernel {selected_kernel}/{simd_backend} sliced-vs-scalar {kernel_speedup:.2}x; hand-off ring/mpsc = {handoff_ring_ns:.0}/{handoff_mpsc_ns:.0} ns, scaling measured = {scaling_measured}; telemetry overhead {telemetry_overhead:.3}x, {telemetry_on_allocs:.2} allocs/read recorder-on; conditioning crc2 block {conditioning_block_speedup:.2}x, all match = {conditioning_all_match}; health gate block {health_speedup:.1}x, match = {health_match})",
         clients = serve.clients,
         p50 = serve.p50_us,
         p99 = serve.p99_us,

@@ -287,11 +287,7 @@ impl ShardWorker {
 /// Shared with the sliced bank worker so both kernels apply the exact
 /// same health gate to the exact same bit order.
 pub(crate) fn chunk_is_healthy(monitor: &mut HealthMonitor, chunk: &[u8]) -> bool {
-    chunk.iter().all(|&byte| {
-        (0..8)
-            .rev()
-            .all(|i| monitor.feed((byte >> i) & 1 == 1) == HealthStatus::Ok)
-    })
+    monitor.feed_bytes(chunk) == HealthStatus::Ok
 }
 
 #[cfg(test)]
