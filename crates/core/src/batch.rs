@@ -14,9 +14,10 @@
 //! * the `Vec<BeatOscillator>` indirection of the beat bank.
 //!
 //! [`BlockKernel`] hoists all of that out of the inner loop once per
-//! block, pads the beat bank to a compile-time width so the per-cycle
-//! body vectorises, and generates whole buffers of 64-cycle words with
-//! the bank held in registers.
+//! block, pads the beat bank to a compile-time width, and generates
+//! whole buffers of 64-cycle words with the bank held in registers —
+//! through an explicit AVX2 body on x86-64 CPUs that have it, and a
+//! portable body everywhere else.
 //! The kernel is **bit-exact**: for the same starting state and the same
 //! [`NoiseRng`], it produces exactly the stream the per-bit reference
 //! produces (every arithmetic step is provably the same f64 computation;
@@ -100,13 +101,17 @@ const NARROW: usize = 16;
 /// apply the systematic sampler bias, and (DH-TRNG only) kick the ring
 /// phases through the feedback line when the output bit is 1.
 ///
-/// The beat bank is padded to a compile-time width — 16 for banks of up
-/// to 16 beats, [`MAX_BEATS`] above that — with inert lanes (phase,
-/// increment, duty and kick multiplier all 0: such a lane never wraps,
-/// never counts towards the XOR and never moves). The per-cycle body
-/// therefore has no runtime trip count and vectorises; see `DESIGN.md`
-/// §5 for why the padding and the branch-free wrap leave every output
-/// bit unchanged.
+/// The beat bank is padded with inert lanes (phase, increment, duty and
+/// kick multiplier all 0: such a lane never wraps, never counts towards
+/// the XOR and never moves) to a compile-time width, so the per-cycle
+/// body has no runtime trip count. There are two bodies, picked once
+/// per process: a portable one at width 16 for banks of up to 16 beats
+/// and [`MAX_BEATS`] above that (the reference twin, pinned by
+/// `DHTRNG_SIMD=portable`), and on x86-64 with AVX2 an explicit
+/// `core::arch` body over 3, 4 or 8 four-beat ymm groups, whose
+/// feedback kick is branch-free up to 4 groups. Both produce the same
+/// bits; see `DESIGN.md` §5 for why the padding, the branch-free wrap
+/// and the branch-free kick leave every output bit unchanged.
 ///
 /// Usage: build from the generator's state, call
 /// [`next_word`](Self::next_word) / [`next_bits`](Self::next_bits) /
@@ -221,50 +226,42 @@ impl BlockKernel {
     }
 
     /// Fills every word of `out` with `n` cycles (oldest bit first),
-    /// through the body compiled for this bank's padded width and the
-    /// process's [`Backend`].
+    /// through the process's [`Backend`]: the portable body at this
+    /// bank's padded width, or the explicit AVX2 body at its ymm group
+    /// count.
     fn run(&mut self, rng: &mut NoiseRng, n: u32, out: &mut [u64]) {
-        let narrow = self.beats <= NARROW;
         match self.backend {
-            Backend::Portable if narrow => self.run_impl::<NARROW>(rng, n, out),
+            Backend::Portable if self.beats <= NARROW => self.run_impl::<NARROW>(rng, n, out),
             Backend::Portable => self.run_impl::<MAX_BEATS>(rng, n, out),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: Backend::Avx2 is only ever detected after
-            // `is_x86_feature_detected!("avx2")` returned true on this
-            // machine, so the target-feature function's contract holds.
-            #[allow(unsafe_code)]
-            Backend::Avx2 => unsafe {
-                if narrow {
-                    self.run_avx2::<NARROW>(rng, n, out);
-                } else {
-                    self.run_avx2::<MAX_BEATS>(rng, n, out);
+            Backend::Avx2 => {
+                let feedback = self.kick_scale != 0.0;
+                // SAFETY: Backend::Avx2 is only ever detected after
+                // `is_x86_feature_detected!("avx2")` returned true on this
+                // machine, so the target-feature function's contract holds.
+                #[allow(unsafe_code)]
+                unsafe {
+                    match (self.beats.div_ceil(4), feedback) {
+                        (..=3, true) => avx2::run::<3, true>(self, rng, n, out),
+                        (..=3, false) => avx2::run::<3, false>(self, rng, n, out),
+                        (4, true) => avx2::run::<4, true>(self, rng, n, out),
+                        (4, false) => avx2::run::<4, false>(self, rng, n, out),
+                        (_, true) => avx2::run::<8, true>(self, rng, n, out),
+                        (_, false) => avx2::run::<8, false>(self, rng, n, out),
+                    }
                 }
-            },
+            }
         }
     }
 
-    /// AVX2 compilation of the *same* body: `target_feature` licenses
-    /// the autovectoriser to emit 256-bit operations for the inlined
-    /// `run_impl`.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    #[allow(unsafe_code)]
-    unsafe fn run_avx2<const W: usize>(&mut self, rng: &mut NoiseRng, n: u32, out: &mut [u64]) {
-        self.run_impl::<W>(rng, n, out);
-    }
-
-    /// The one cycle body, at padded width `W`, `inline(always)` so each
-    /// dispatch arm compiles it under its own target features.
+    /// The portable cycle body at padded width `W`: the reference twin
+    /// of the AVX2 body (`DHTRNG_SIMD=portable` pins it), and the only
+    /// body off x86-64.
     ///
     /// Per cycle — the same draws, in the same order, as the per-bit
     /// reference paths; the XOR of the beats is the parity of the count
     /// of high beats. The bank lives in locals for the whole call, so
     /// the phases stay in registers across the word loop.
-    #[inline(always)]
     fn run_impl<const W: usize>(&mut self, rng: &mut NoiseRng, n: u32, out: &mut [u64]) {
         let mut phases = [0.0f64; W];
         phases.copy_from_slice(&self.phases[..W]);
@@ -363,6 +360,157 @@ impl BlockKernel {
     }
 }
 
+/// The explicit AVX2 body of [`BlockKernel::run`], bit-identical to the
+/// portable `run_impl` (`DESIGN.md` §5 has the argument; the
+/// backend cross-check test below pins it).
+///
+/// The bank is `G` ymm groups of four beats. What makes it faster than
+/// the autovectorised portable body is the feedback kick: the portable
+/// body branches on the output bit, a fair coin, so that branch
+/// mispredicts about half the time. Here the kick is branch-free.
+/// Exactly one draw `u` follows the cycle's first bit `bit0`: the bias
+/// draw when `bit0 = 0`, the kick draw when `bit0 = 1`; only a bias hit
+/// (probability `2 × bias`, ~7e-5 for DH-TRNG) draws again, and that
+/// draw is the kick draw.
+/// Every lane then adds `kick × m`, with `kick` replaced by −0.0 when
+/// the bit is 0: −0.0 is the exact additive identity, and the wrap of a
+/// phase below 1 is a no-op, so a 0 bit leaves the bank unchanged
+/// without a branch. The `p_rand` test stays a branch (it is taken with
+/// probability `p_rand`, ~94% for DH-TRNG, so it predicts well), and the
+/// parity of the beats is computed only on its miss path, which keeps
+/// it off the phases' dependency chain.
+///
+/// The branch-free kick runs only up to 4 groups (16 beats). At 8
+/// groups the unconditional kick costs more than the mispredicts it
+/// saves (about 9% slower than the autovectorised body on a 2-vCPU
+/// x86-64 VM), so banks of 17 to 32 beats keep the portable body's
+/// branches: the bias draw only for a 0 bit, the kick only for a 1 bit.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod avx2 {
+    use std::arch::x86_64::*;
+
+    use dhtrng_noise::NoiseRng;
+    use rand::RngCore;
+
+    use super::BlockKernel;
+
+    /// `NoiseRng::uniform` of the raw draw `u`: the top 53 bits, scaled
+    /// by 2^-53 (exact; the conversion of a value below 2^53 is exact).
+    #[inline]
+    fn unit(u: u64) -> f64 {
+        (u >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// `p - (p >= 1 ? 1 : 0)` per lane: the portable `wrap` (compare,
+    /// and, subtract).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn wrap(p: __m256d, one: __m256d) -> __m256d {
+        _mm256_sub_pd(p, _mm256_and_pd(_mm256_cmp_pd(p, one, _CMP_GE_OQ), one))
+    }
+
+    /// Loads lanes `0..4G` of a padded bank array.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load<const G: usize>(lanes: &[f64; super::MAX_BEATS]) -> [__m256d; G] {
+        let mut groups = [_mm256_setzero_pd(); G];
+        for (g, group) in groups.iter_mut().enumerate() {
+            *group = _mm256_loadu_pd(lanes[4 * g..4 * g + 4].as_ptr());
+        }
+        groups
+    }
+
+    /// XOR of the beats (`p < duty` per lane; padding lanes are never
+    /// high): the parity of the XOR-ed group masks.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn parity<const G: usize>(phases: &[__m256d; G], duties: &[__m256d; G]) -> bool {
+        let mut high = 0;
+        for g in 0..G {
+            high ^= _mm256_movemask_pd(_mm256_cmp_pd(phases[g], duties[g], _CMP_LT_OQ));
+        }
+        high.count_ones() & 1 == 1
+    }
+
+    /// Adds `kick × m` to every lane and wraps: mul, then add, never
+    /// fused, as in the portable body.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn kick_bank<const G: usize>(
+        phases: &mut [__m256d; G],
+        kick: __m256d,
+        kick_mults: &[__m256d; G],
+        one: __m256d,
+    ) {
+        for g in 0..G {
+            let kicked = _mm256_add_pd(phases[g], _mm256_mul_pd(kick, kick_mults[g]));
+            phases[g] = wrap(kicked, one);
+        }
+    }
+
+    /// One call of [`BlockKernel::run`] over `G` groups (`4 × G` at most
+    /// `MAX_BEATS`, at least the bank size), with `FEEDBACK` equal to
+    /// `kernel.kick_scale != 0.0`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn run<const G: usize, const FEEDBACK: bool>(
+        kernel: &mut BlockKernel,
+        rng: &mut NoiseRng,
+        n: u32,
+        out: &mut [u64],
+    ) {
+        let one = _mm256_set1_pd(1.0);
+        let neg_zero = _mm256_set1_pd(-0.0);
+        let mut phases = load::<G>(&kernel.phases);
+        let increments = load::<G>(&kernel.increments);
+        let duties = load::<G>(&kernel.duties);
+        let kick_mults = load::<G>(&kernel.kick_mults);
+        let kick_scale = kernel.kick_scale;
+        for word in out {
+            let mut bits = 0u64;
+            for _ in 0..n {
+                for g in 0..G {
+                    phases[g] = wrap(_mm256_add_pd(phases[g], increments[g]), one);
+                }
+                let mut bit = if rng.bernoulli_fast(kernel.p_rand_threshold) {
+                    rng.bernoulli_fast(kernel.half_threshold)
+                } else {
+                    parity(&phases, &duties)
+                };
+                if FEEDBACK && G <= 4 {
+                    let mut u = rng.next_u64();
+                    let bias_hit = !bit & ((u >> 11) < kernel.bias_threshold);
+                    if bias_hit {
+                        u = rng.next_u64();
+                    }
+                    bit |= bias_hit;
+                    let keep = _mm256_castsi256_pd(_mm256_set1_epi64x(-i64::from(bit)));
+                    let kick = _mm256_set1_pd(kick_scale * unit(u));
+                    let kick = _mm256_blendv_pd(neg_zero, kick, keep);
+                    kick_bank(&mut phases, kick, &kick_mults, one);
+                } else {
+                    if !bit && rng.bernoulli_fast(kernel.bias_threshold) {
+                        bit = true;
+                    }
+                    if FEEDBACK && bit {
+                        let kick = _mm256_set1_pd(kick_scale * rng.uniform());
+                        kick_bank(&mut phases, kick, &kick_mults, one);
+                    }
+                }
+                bits = (bits << 1) | u64::from(bit);
+            }
+            *word = bits;
+        }
+        for (g, group) in phases.iter().enumerate() {
+            _mm256_storeu_pd(kernel.phases[4 * g..4 * g + 4].as_mut_ptr(), *group);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,6 +585,57 @@ mod tests {
                 // reference bank.
                 for (a, b) in ref_beats.iter().zip(&kernel_beats) {
                     assert_eq!(a.phase(), b.phase(), "{label}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn forced_portable_backend_matches_dispatch() {
+        // Identical kernels, one pinned to the portable body, must agree
+        // on every word, the written-back phases and the RNG state, for
+        // every ymm group count (1, 7 and 12 beats run 3 groups; 13 and
+        // 16 run 4; 17 and 32 run 8) and both padded portable widths. The
+        // second parameter set hits the bias test often, so the
+        // kick-redraw path runs too. (On non-AVX2 hosts both kernels
+        // dispatch portable and the test degenerates to determinism.)
+        for size in [1, 7, 12, 13, 16, 17, 32] {
+            let mut mult_rng = NoiseRng::seed_from_u64(100 + size as u64);
+            let mults: Vec<f64> = (0..size).map(|_| mult_rng.uniform()).collect();
+            for feedback in [None, Some((0.3, &mults[..]))] {
+                for (p_rand, bias) in [(0.94, 1.0e-4), (0.5, 0.05)] {
+                    let beats = bank(40 + size as u64, size);
+                    let mut dispatched = BlockKernel::new(&beats, p_rand, bias, feedback).unwrap();
+                    let mut portable = dispatched.clone();
+                    portable.backend = Backend::Portable;
+                    let mut dispatched_rng = NoiseRng::seed_from_u64(size as u64);
+                    let mut portable_rng = dispatched_rng.clone();
+                    let label = format!(
+                        "{size} beats, feedback = {}, bias = {bias} ({} vs portable)",
+                        feedback.is_some(),
+                        dispatched.backend.name()
+                    );
+                    for n in [1, 8, 63, 64] {
+                        let mut got = [0u64; 5];
+                        let mut want = [0u64; 5];
+                        dispatched.run(&mut dispatched_rng, n, &mut got);
+                        portable.run(&mut portable_rng, n, &mut want);
+                        assert_eq!(got, want, "{label}, n = {n}");
+                    }
+                    // Eight whole 512-byte blocks, then 5 tail bytes.
+                    let mut got = vec![0u8; 8 * 512 + 5];
+                    let mut want = got.clone();
+                    dispatched.fill_bytes(&mut dispatched_rng, &mut got);
+                    portable.fill_bytes(&mut portable_rng, &mut want);
+                    assert_eq!(got, want, "{label}, long fill");
+                    let mut got_beats = beats.clone();
+                    let mut want_beats = beats;
+                    dispatched.write_back(&mut got_beats);
+                    portable.write_back(&mut want_beats);
+                    for (a, b) in got_beats.iter().zip(&want_beats) {
+                        assert_eq!(a.phase().to_bits(), b.phase().to_bits(), "{label}");
+                    }
+                    assert_eq!(dispatched_rng.state(), portable_rng.state(), "{label}");
                 }
             }
         }

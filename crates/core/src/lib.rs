@@ -42,9 +42,10 @@
 
 #![deny(missing_docs)]
 // `deny`, not `forbid`: the AVX2 dispatch of the scalar and bit-sliced
-// kernels needs narrowly-scoped `#[allow(unsafe_code)]` items (one
-// `target_feature` function and its feature-checked call site each in
-// `batch` and `slice`); everything else stays unsafe-free and any new
+// kernels needs narrowly-scoped `#[allow(unsafe_code)]` items (in
+// `batch`, the `avx2` module of `core::arch` code and its
+// feature-checked call site; in `slice`, one `target_feature` function
+// and its call site); everything else stays unsafe-free and any new
 // unsafe is still a hard error.
 #![deny(unsafe_code)]
 

@@ -1,15 +1,16 @@
-//! Runtime choice between the portable and the AVX2 compilation of the
+//! Runtime choice between the portable and the AVX2 bodies of the
 //! generation kernels.
 //!
-//! The scalar [`BlockKernel`](crate::batch::BlockKernel) and the
-//! bit-sliced [`SlicedKernel`](crate::slice::SlicedKernel) each compile
-//! one safe-Rust body twice: as is, and under
-//! `#[target_feature(enable = "avx2")]` on x86-64. The two compilations
-//! compute the same thing; the AVX2 one only licenses the autovectoriser
-//! to use 256-bit registers. [`Backend::detected`] picks one per process:
-//! AVX2 when the CPU has it, unless `DHTRNG_SIMD=portable` pins the
-//! portable body (to cross-check the dispatch; the output is identical
-//! either way).
+//! Each kernel has a portable safe-Rust body and an AVX2 body that
+//! computes the same thing. The bit-sliced
+//! [`SlicedKernel`](crate::slice::SlicedKernel) compiles its one sweep
+//! twice, as is and under `#[target_feature(enable = "avx2")]`, which
+//! only licenses the autovectoriser to use 256-bit registers. The scalar
+//! [`BlockKernel`](crate::batch::BlockKernel) has an explicit
+//! `core::arch` AVX2 body next to its portable one, bit-identical to it.
+//! [`Backend::detected`] picks one per process: AVX2 when the CPU has
+//! it, unless `DHTRNG_SIMD=portable` pins the portable bodies (to
+//! cross-check the dispatch; the output is identical either way).
 
 use std::sync::OnceLock;
 
@@ -19,7 +20,7 @@ pub(crate) enum Backend {
     /// Safe portable body (every target; also the `DHTRNG_SIMD=portable`
     /// override).
     Portable,
-    /// The same body compiled under `#[target_feature(enable = "avx2")]`
+    /// The AVX2 bodies, under `#[target_feature(enable = "avx2")]`
     /// (x86-64 with runtime-detected AVX2 only).
     #[cfg(target_arch = "x86_64")]
     Avx2,

@@ -24,22 +24,6 @@ const PLACEMENT_PITCH: u32 = 4;
 /// the worker, one being drained by the consumer.
 const POOL_SLACK: usize = 2;
 
-/// Measured cost of the sliced bank per lane-bit, as a multiple of the
-/// scalar kernel's cost per bit on the same core, by bank size:
-/// `(lanes, ratio)`, ascending. Both kernels ran interleaved in one
-/// process on a 2-vCPU x86-64 VM with AVX2 (the fixed-width scalar
-/// kernel at ~8.7 ns/bit); the largest median of three runs. Per
-/// lane-bit the bank only drops below one scalar bit at 32 lanes and
-/// more.
-const SLICED_COST_PER_LANE_BIT: [(usize, f64); 6] = [
-    (2, 4.1),
-    (4, 2.2),
-    (8, 1.7),
-    (16, 1.06),
-    (32, 0.96),
-    (64, 0.95),
-];
-
 /// Which generation kernel the shard producers run on.
 ///
 /// Both kernels produce the **same merged stream** for the same
@@ -69,35 +53,22 @@ pub enum KernelKind {
 impl KernelKind {
     /// The kernel [`Auto`](Self::Auto) resolves to (absent a
     /// `DHTRNG_KERNEL` override) for a given shard count on a host with
-    /// `host_cpus` usable CPUs:
+    /// `host_cpus` usable CPUs: always [`Scalar`](Self::Scalar).
     ///
-    /// * one shard has no parallelism to harvest and no bank to
-    ///   amortise → [`Scalar`](Self::Scalar);
-    /// * the sliced bank runs all `shards` lanes on **one** core, at the
-    ///   measured per-lane-bit cost `r` of the largest measured bank
-    ///   size not above `shards` (costs fall with bank size, so this
-    ///   never flatters the bank); N scalar workers use
-    ///   `min(shards, host_cpus)` cores at one scalar bit each. Sliced
-    ///   wins exactly when `r × min(shards, host_cpus) < 1` — which,
-    ///   against the fixed-width scalar kernel, only a 1-CPU host with
-    ///   32 or more shards satisfies.
+    /// The sliced bank runs all `shards` lanes on **one** core, so it
+    /// could only win where its cost per lane-bit drops below one
+    /// scalar bit. Measured on one x86-64 CPU at 2 to 64 lanes, it
+    /// never does: per lane-bit the bank costs 1.25–7.4 scalar bits
+    /// with both kernels on their AVX2 bodies and 1.5–5.3 on their
+    /// portable ones, so one scalar core beats it at every bank size
+    /// and more cores only widen the gap.
+    /// `DESIGN.md` §10 has the numbers.
     ///
-    /// Pure and public so the bench report can log the decision it
-    /// predicts and tests can mirror it against the real host.
+    /// It keeps its arguments so the bench report and perfbench can log
+    /// the decision with its inputs.
     pub fn cost_model(shards: usize, host_cpus: usize) -> KernelKind {
-        let Some(&(_, ratio)) = SLICED_COST_PER_LANE_BIT
-            .iter()
-            .rev()
-            .find(|&&(lanes, _)| lanes <= shards)
-        else {
-            return KernelKind::Scalar;
-        };
-        let scalar_cores = shards.min(host_cpus.max(1));
-        if ratio * (scalar_cores as f64) < 1.0 {
-            KernelKind::Sliced
-        } else {
-            KernelKind::Scalar
-        }
+        let _ = (shards, host_cpus);
+        KernelKind::Scalar
     }
 }
 
@@ -945,27 +916,15 @@ mod tests {
     }
 
     #[test]
-    fn cost_model_prefers_threads_only_when_cores_beat_the_bank() {
-        // One shard: nothing to slice, nothing to parallelise.
-        assert_eq!(KernelKind::cost_model(1, 1), KernelKind::Scalar);
-        assert_eq!(KernelKind::cost_model(1, 16), KernelKind::Scalar);
-        // A 1-CPU host cannot harvest thread parallelism, but below 32
-        // lanes the bank costs more per lane-bit than the scalar kernel
-        // costs per bit, so one scalar core still wins.
-        assert_eq!(KernelKind::cost_model(2, 1), KernelKind::Scalar);
-        assert_eq!(KernelKind::cost_model(8, 1), KernelKind::Scalar);
-        assert_eq!(KernelKind::cost_model(4, 0), KernelKind::Scalar);
-        assert_eq!(KernelKind::cost_model(16, 1), KernelKind::Scalar);
-        assert_eq!(KernelKind::cost_model(31, 1), KernelKind::Scalar);
-        // From 32 lanes the bank is the cheaper single core.
-        assert_eq!(KernelKind::cost_model(32, 1), KernelKind::Sliced);
-        assert_eq!(KernelKind::cost_model(64, 1), KernelKind::Sliced);
-        // A second usable core beats every measured bank size.
-        assert_eq!(KernelKind::cost_model(64, 2), KernelKind::Scalar);
-        assert_eq!(KernelKind::cost_model(2, 2), KernelKind::Scalar);
-        assert_eq!(KernelKind::cost_model(4, 4), KernelKind::Scalar);
-        // Shards bound the harvestable cores, not the host.
-        assert_eq!(KernelKind::cost_model(2, 16), KernelKind::Scalar);
+    fn cost_model_resolves_every_host_to_scalar() {
+        // The sliced bank loses to one scalar core at every measured
+        // bank size, so neither the shard count nor the host's cores
+        // can make it win.
+        for shards in [1, 2, 4, 8, 16, 31, 32, 64] {
+            for cpus in [0, 1, 2, 4, 16] {
+                assert_eq!(KernelKind::cost_model(shards, cpus), KernelKind::Scalar);
+            }
+        }
     }
 
     #[test]
