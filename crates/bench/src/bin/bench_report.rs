@@ -102,7 +102,7 @@ use dhtrng_noise::NoiseRng;
 use dhtrng_serve::{loadgen, LoadConfig, Service};
 use dhtrng_stream::{
     ring, AffinityPolicy, ConditionerSpec, EntropySource, EntropyStream, EntropyStreamBuilder,
-    KernelKind, PipelineBuilder, Tier,
+    KernelKind, Tier,
 };
 
 /// `System`, plus a global count of allocation events (alloc,
@@ -190,21 +190,43 @@ fn steady_read_s(
     start.elapsed().as_secs_f64() / reads as f64
 }
 
-/// One pipeline tier over a 4-shard deployment, `reads` steady-state
-/// reads of `read_bytes`: (simulated Mbps, modeled Mbps).
+/// One output tier over a 4-shard deployment, `reads` steady-state
+/// reads of `read_bytes`: (simulated Mbps, modeled Mbps). The raw tier
+/// reads the engine directly; the other two read a session on a shared
+/// source.
 fn measure_tier(tier: Tier, read_bytes: usize, reads: usize) -> (f64, f64) {
     let shards = 4;
-    let mut stream = PipelineBuilder::new()
-        .shards(shards)
-        .seed(1)
-        .chunk_bytes(CHUNK_BYTES)
-        .queue_chunks(QUEUE_CHUNKS)
-        .build(tier);
-    let modeled = stream.throughput_mbps();
     let mut buf = vec![0u8; read_bytes];
-    let seconds = steady_read_s(shards, &mut buf, reads, |out| {
-        stream.read(out).expect("healthy pipeline")
-    });
+    let (seconds, modeled) = if tier == Tier::Raw {
+        let mut stream = EntropyStream::builder()
+            .shards(shards)
+            .seed(1)
+            .chunk_bytes(CHUNK_BYTES)
+            .queue_chunks(QUEUE_CHUNKS)
+            .build();
+        let seconds = steady_read_s(shards, &mut buf, reads, |out| {
+            stream.read(out).expect("healthy stream")
+        });
+        (seconds, stream.throughput_mbps())
+    } else {
+        let source = EntropySource::builder()
+            .shards(shards)
+            .seed(1)
+            .chunk_bytes(CHUNK_BYTES)
+            .queue_chunks(QUEUE_CHUNKS)
+            .build()
+            .expect("valid configuration");
+        let modeled = if tier == Tier::Drbg {
+            source.drbg_mbps()
+        } else {
+            source.conditioned_mbps()
+        };
+        let mut session = source.session(tier);
+        let seconds = steady_read_s(shards, &mut buf, reads, |out| {
+            session.read(out).expect("healthy source")
+        });
+        (seconds, modeled)
+    };
     (read_bytes as f64 * 8.0 / seconds / 1e6, modeled)
 }
 
@@ -520,20 +542,22 @@ fn measure_conditioning(raw_bytes: usize, budget_s: f64) -> Vec<ConditioningRow>
 /// staging, so this must be exactly 0 (tests/zero_alloc.rs pins the
 /// same invariant; CI fails the job on any non-zero value).
 fn measure_conditioned_allocs(reads: usize) -> f64 {
-    let mut stream = PipelineBuilder::new()
+    let mut session = EntropySource::builder()
         .shards(4)
         .seed(1)
         .chunk_bytes(64 * 1024)
-        .build(Tier::Conditioned);
+        .build()
+        .expect("valid configuration")
+        .session(Tier::Conditioned);
     let mut buf = vec![0u8; 64 * 1024];
     // Prime: the conditioned tier refills recycled buffers at the
     // compression ratio, so cycle enough reads to settle the pool.
     for _ in 0..48 {
-        stream.read(&mut buf).expect("healthy pipeline");
+        session.read(&mut buf).expect("healthy source");
     }
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     for _ in 0..reads {
-        stream.read(&mut buf).expect("healthy pipeline");
+        session.read(&mut buf).expect("healthy source");
     }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     std::hint::black_box(buf[0]);

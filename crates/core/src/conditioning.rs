@@ -21,18 +21,18 @@
 //!   register's low bit is emitted. `ratio = 1` whitens at full rate;
 //!   `ratio >= 2` compresses, folding `16 + ratio` raw bits of history
 //!   into every output bit;
-//! * [`LfsrConditioner`] — the legacy rate-preserving 16-bit Fibonacci
-//!   LFSR whitener (behind [`LfsrWhitener`](crate::postproc::LfsrWhitener));
+//! * [`LfsrConditioner`] — the rate-preserving 16-bit Fibonacci LFSR
+//!   whitener (cosmetic: it balances the output but adds no entropy);
 //! * [`Chain`] — sequential composition via [`Conditioner::then`];
 //! * [`Conditioned`] — the adaptor that mounts any [`Conditioner`] on
 //!   any [`Trng`], pulling raw bits through the batched
 //!   [`next_word`](Trng::next_word) fast path and keeping
 //!   consumed/emitted throughput ledgers.
 //!
-//! The wrappers in [`postproc`](crate::postproc) are thin shells over
-//! these primitives, so the throughput-cost demonstrations and the
-//! production conditioning layer share one implementation. The
-//! stream-level pipeline (`dhtrng-stream`) mounts the same machines on
+//! The throughput-cost demonstrations (the paper's point that DH-TRNG
+//! needs no post-processing, `examples/postprocessing_tradeoff.rs`) and
+//! the production conditioning layer share this one implementation:
+//! the streaming engine (`dhtrng-stream`) mounts the same machines on
 //! the sharded merged stream.
 //!
 //! Conditioned output is a **pure function of the raw bit stream**: no
@@ -764,13 +764,13 @@ impl Conditioner for CrcWhitener {
     }
 }
 
-/// The legacy 16-bit Fibonacci LFSR whitener (x^16 + x^14 + x^13 +
-/// x^11 + 1), rate-preserving: the raw bit is injected into the
-/// feedback and the register's low bit is emitted every push.
+/// The 16-bit Fibonacci LFSR whitener (x^16 + x^14 + x^13 + x^11 + 1),
+/// rate-preserving: the raw bit is injected into the feedback and the
+/// register's low bit is emitted every push.
 ///
-/// This is the exact machine behind
-/// [`LfsrWhitener`](crate::postproc::LfsrWhitener); kept distinct from
-/// [`CrcWhitener`] so the historical stream stays bit-for-bit stable.
+/// Kept distinct from [`CrcWhitener`] so the historical stream stays
+/// bit-for-bit stable. It spreads local structure without adding
+/// entropy — a purely cosmetic stage.
 #[derive(Debug, Clone)]
 pub struct LfsrConditioner {
     state: u16,
@@ -1238,6 +1238,63 @@ mod tests {
         assert!((frac - 0.5).abs() < 0.006, "frac = {frac}");
         // Cost near the 2/(2pq) = 4.76 theory value.
         assert!((vn.measured_ratio() - 4.76).abs() < 0.15);
+        // Unbiased source: cost -> 4.0.
+        let mut vn = Conditioned::new(biased(0.5, 3), VonNeumannConditioner::new());
+        let _ = ones_fraction(&mut vn, 50_000);
+        let cost = vn.measured_ratio();
+        assert!((cost - 4.0).abs() < 0.1, "cost = {cost}");
+    }
+
+    #[test]
+    fn xor_fold_follows_piling_up() {
+        // bias 0.2 (p = 0.7); after XOR-4 the bias is 2^3 * 0.2^4 = 0.0128.
+        let mut x4 = Conditioned::new(biased(0.7, 4), XorFold::new(4));
+        let bias = (ones_fraction(&mut x4, 400_000) - 0.5).abs();
+        assert!((bias - 0.0128).abs() < 0.004, "bias = {bias}");
+    }
+
+    #[test]
+    fn lfsr_conditioner_balances_structured_input() {
+        // A heavily periodic source looks balanced after whitening (but
+        // carries no more entropy than before, hence "cosmetic").
+        struct Period6(u64);
+        impl Trng for Period6 {
+            fn next_bit(&mut self) -> bool {
+                self.0 += 1;
+                (self.0 / 3) % 2 == 0
+            }
+        }
+        let mut w = Conditioned::new(Period6(0), LfsrConditioner::new());
+        let frac = ones_fraction(&mut w, 100_000);
+        assert!((frac - 0.5).abs() < 0.01, "frac = {frac}");
+    }
+
+    #[test]
+    fn lfsr_conditioner_output_is_driven_by_the_raw_stream() {
+        // Over identical raw streams two whiteners agree; over different
+        // ones they diverge (the raw bits drive the state).
+        let whiten = |seed| Conditioned::new(biased(0.5, seed), LfsrConditioner::new());
+        let seq_a = whiten(7).collect_bits(128);
+        assert_eq!(seq_a, whiten(7).collect_bits(128));
+        assert_ne!(seq_a, whiten(8).collect_bits(128));
+    }
+
+    #[test]
+    fn dh_trng_gains_nothing_from_post_processing() {
+        // The paper's point: DH-TRNG output is already balanced, so the
+        // corrector only costs throughput.
+        use crate::trng::DhTrng;
+        let mut raw = DhTrng::builder().seed(9).build();
+        let raw_frac = ones_fraction(&mut raw, 200_000);
+        let mut vn = Conditioned::new(
+            DhTrng::builder().seed(9).build(),
+            VonNeumannConditioner::new(),
+        );
+        let vn_frac = ones_fraction(&mut vn, 50_000);
+        assert!((raw_frac - 0.5).abs() < 0.005);
+        assert!((vn_frac - 0.5).abs() < 0.007);
+        // ... but the corrector burned 4x the raw bits.
+        assert!(vn.measured_ratio() > 3.8);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! expander, not a transformer — it consumes seed material only at
 //! reseed boundaries and generates output from internal state between
 //! them. It participates in the graph as a block *pump* over borrowed
-//! buffers instead (see `dhtrng-stream::pipeline::DrbgPool` and
+//! buffers instead (see the drbg `Session` in `dhtrng-stream::api` and
 //! [`Drbg`](crate::drbg::Drbg), both of which reuse one persistent seed
 //! buffer across reseeds).
 //!

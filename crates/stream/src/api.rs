@@ -1,14 +1,10 @@
 //! The session-oriented public API: one shared [`EntropySource`],
-//! many independent [`Session`]s.
+//! many independent [`Session`]s, each reading at a quality [`Tier`].
 //!
-//! The original pipeline surface was structurally single-consumer: a
-//! `PipelineBuilder` moved the whole sharded deployment into exactly
-//! one `TierStream`, so a daemon serving N clients would have needed N
-//! deployments. This module is the redesign ISSUE 6 forces: the
-//! deployment (engine + conditioning stage) lives once, behind a
+//! The deployment (engine + conditioning stage) lives once, behind a
 //! cheaply-cloneable [`EntropySource`] handle, and every consumer —
-//! library user, `PipelineRng`, or a `dhtrng-serve` client — gets its
-//! own [`Session`]:
+//! library user, the facade's `StreamRng`, or a `dhtrng-serve` client —
+//! gets its own [`Session`]:
 //!
 //! * **raw / conditioned sessions** draw from the shared stream under
 //!   the source lock. Bytes are globally sequenced: what one session
@@ -31,11 +27,13 @@
 //!   keep serving from their DRBG state — reseeds stall (re-keying
 //!   from the last harvested material so the output keeps moving), the
 //!   stall is counted, and [`SourceStats::degraded`] reports the cause.
+//!   Turn it off ([`SessionConfig::stall_reseeds`]) to have a dead
+//!   source surface as the read's error instead.
 //!
-//! A source with a single session degenerates to the old pipeline
-//! exactly: the legacy `ConditionedStream` / `DrbgPool` shims in
-//! [`crate::pipeline`] are re-implemented over one `Session` each and
-//! still pass their bit-identical pinned-head tests.
+//! A source with a single session is the plain single-consumer chain:
+//! every conditioned byte and every seed harvest walks the conditioned
+//! stream in order, so a sole session's output is a pure function of
+//! the shard seed schedule.
 //!
 //! # Example
 //!
@@ -62,7 +60,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use dhtrng_core::conditioning::Conditioner;
+use dhtrng_core::conditioning::{Conditioner, CrcWhitener, VonNeumannConditioner, XorFold};
 use dhtrng_core::drbg::{DrbgConfig, HashDrbg, BLOCK_BYTES};
 use dhtrng_core::kernel::{BitBlock, ConditionerStage, Stage};
 use dhtrng_core::telemetry::{MetricsHandle, Recorder, Snapshot, Telemetry};
@@ -72,7 +70,6 @@ use crate::affinity::AffinityPolicy;
 use crate::arbiter::{ReseedArbiter, Turn};
 use crate::engine::{EntropyStream, EntropyStreamBuilder};
 use crate::error::{ConfigError, Error};
-use crate::pipeline::{ConditionerSpec, Tier};
 use crate::shard::HealthConfig;
 use crate::wake::EventCount;
 
@@ -80,21 +77,99 @@ use crate::wake::EventCount;
 /// [`SourceBuilder::reseed_credits`]).
 pub const DEFAULT_RESEED_CREDITS: u32 = 4;
 
+/// Quality tier of a session's output stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tier {
+    /// The merged health-gated source stream, full rate.
+    Raw,
+    /// Conditioner output (rate divided by the compression ratio).
+    Conditioned,
+    /// DRBG output keyed from the conditioned stream.
+    Drbg,
+}
+
+/// Which conditioner the source's conditioning stage runs.
+///
+/// A closed enum (rather than a user-supplied trait object) so the
+/// builder stays `Clone` and the choice is recordable in reports; the
+/// core [`Conditioned`](dhtrng_core::conditioning::Conditioned) adaptor
+/// accepts arbitrary [`Conditioner`] implementations for custom stacks.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ConditionerSpec {
+    /// Von Neumann debiasing (expected 4:1 on an unbiased source).
+    VonNeumann,
+    /// XOR of `factor` raw bits per output bit.
+    XorFold(
+        /// The fold factor (raw bits per output bit, `>= 1`).
+        u32,
+    ),
+    /// CRC-16 whitener emitting one bit per `ratio` raw bits.
+    Crc {
+        /// Raw bits per output bit (`>= 1`).
+        ratio: u32,
+    },
+}
+
+impl Default for ConditionerSpec {
+    /// The source default: 2:1 CRC conditioning.
+    fn default() -> Self {
+        Self::Crc { ratio: 2 }
+    }
+}
+
+impl ConditionerSpec {
+    /// Expected raw bits per conditioned bit for this choice, as
+    /// declared by the machine itself (single source of truth).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero fold factor or compression ratio.
+    pub fn expected_ratio(&self) -> f64 {
+        self.build().expected_ratio()
+    }
+
+    /// Checks the spec for a zero fold factor or compression ratio —
+    /// the validation path for untrusted configuration.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::ConditionerRatio`] on a zero parameter.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        match *self {
+            Self::XorFold(0) | Self::Crc { ratio: 0 } => Err(ConfigError::ConditionerRatio),
+            _ => Ok(()),
+        }
+    }
+
+    /// Instantiates the chosen machine.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero fold factor or compression ratio.
+    fn build(&self) -> Box<dyn Conditioner + Send> {
+        match *self {
+            Self::VonNeumann => Box::new(VonNeumannConditioner::new()),
+            Self::XorFold(factor) => Box::new(XorFold::new(factor)),
+            Self::Crc { ratio } => Box::new(CrcWhitener::new(ratio)),
+        }
+    }
+}
+
 /// Configures and builds a shared [`EntropySource`].
 ///
 /// Engine knobs mirror [`EntropyStreamBuilder`]; the conditioning and
 /// DRBG stages add [`conditioner`](Self::conditioner) and
 /// [`drbg_config`](Self::drbg_config); the service layer adds
-/// [`reseed_credits`](Self::reseed_credits). Unlike the legacy
-/// builders, [`build`](Self::build) validates instead of panicking —
-/// source configuration is exactly what a daemon parses from untrusted
-/// input.
+/// [`reseed_credits`](Self::reseed_credits). Unlike
+/// [`EntropyStreamBuilder::build`], [`build`](Self::build) validates
+/// instead of panicking — source configuration is exactly what a daemon
+/// parses from untrusted input.
 #[derive(Debug, Clone, Default)]
 pub struct SourceBuilder {
-    pub(crate) stream: EntropyStreamBuilder,
-    pub(crate) conditioner: ConditionerSpec,
-    pub(crate) drbg: DrbgConfig,
-    pub(crate) reseed_credits: u32,
+    stream: EntropyStreamBuilder,
+    conditioner: ConditionerSpec,
+    drbg: DrbgConfig,
+    reseed_credits: u32,
 }
 
 impl SourceBuilder {
@@ -286,9 +361,8 @@ struct Shared {
     stage: ConditionerStage<Box<dyn Conditioner + Send>>,
     /// Conditioned bytes drawn for seed harvests but not yet consumed
     /// (the tail of the last chunk a harvest processed). Keeping this
-    /// carry *global* is what makes a sole drbg session bit-identical
-    /// to the legacy `DrbgPool`: harvests walk the conditioned stream
-    /// with no gaps.
+    /// carry *global* is what makes harvests walk the conditioned
+    /// stream with no gaps.
     seed_carry: VecDeque<u8>,
     /// Latched terminal failure; `Some` flips the source into degraded
     /// mode for every current and future session.
@@ -307,8 +381,7 @@ impl Shared {
     /// All-or-nothing: on a source error, bytes already copied into
     /// `out` are rolled back onto the front of `carry`, so the caller
     /// retrying with smaller reads still sees every healthy byte
-    /// exactly once. (Same contract — same loop — as the legacy
-    /// `ConditionedStream::read`.)
+    /// exactly once.
     fn draw_conditioned(&mut self, carry: &mut VecDeque<u8>, out: &mut [u8]) -> Result<(), Error> {
         let mut written = 0;
         while written < out.len() {
@@ -550,8 +623,7 @@ pub struct SessionConfig {
     /// On terminal source failure during a reseed, keep serving from
     /// DRBG state — re-key from the last harvested material, count a
     /// stalled reseed, mark the session degraded — instead of
-    /// surfacing the error (default `true`; the legacy `DrbgPool` shim
-    /// turns it off).
+    /// surfacing the error (default `true`).
     pub stall_reseeds_on_failure: bool,
 }
 
@@ -656,8 +728,7 @@ pub struct Session {
     quota: Option<u64>,
     delivered: u64,
     /// Conditioned-tier carry: chunk tails and rolled-back bytes, per
-    /// session (the rollback contract of the legacy
-    /// `ConditionedStream`, now per consumer).
+    /// session (the rollback contract is per consumer).
     carry: VecDeque<u8>,
     drbg: Option<HashDrbg>,
     drbg_config: DrbgConfig,
@@ -786,7 +857,7 @@ impl Session {
                 if let Err(error) = self.refill_block() {
                     // Rewind the current block by what this call copied
                     // from it (refills fail before `generate`, so the
-                    // block is intact) — the legacy DrbgPool contract.
+                    // block is intact).
                     let rewind = written.min(BLOCK_BYTES);
                     self.cursor -= rewind;
                     return Err(error);
@@ -988,7 +1059,7 @@ impl Session {
     /// Direct access to the conditioned-tier carry, for tests that
     /// stage rollback scenarios.
     #[cfg(test)]
-    pub(crate) fn carry_mut(&mut self) -> &mut VecDeque<u8> {
+    fn carry_mut(&mut self) -> &mut VecDeque<u8> {
         &mut self.carry
     }
 }
@@ -996,14 +1067,44 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dhtrng_core::conditioning::Conditioned;
+    use dhtrng_core::{DhTrng, Trng};
 
-    fn source(seed: u64) -> EntropySource {
+    fn builder(seed: u64) -> SourceBuilder {
         EntropySource::builder()
             .shards(2)
             .seed(seed)
             .chunk_bytes(1024)
-            .build()
-            .expect("valid configuration")
+    }
+
+    fn source(seed: u64) -> EntropySource {
+        builder(seed).build().expect("valid configuration")
+    }
+
+    /// A session that surfaces a dead source as the read's error, at
+    /// every tier (a drbg session does not stall its reseeds).
+    fn strict_session(source: &EntropySource, tier: Tier) -> Session {
+        source.session_with(SessionConfig::new(tier).stall_reseeds(false))
+    }
+
+    /// The merged raw stream as a bit source, MSB first.
+    struct MergedBits {
+        stream: EntropyStream,
+        byte: u8,
+        left: u32,
+    }
+
+    impl Trng for MergedBits {
+        fn next_bit(&mut self) -> bool {
+            if self.left == 0 {
+                let mut byte = [0u8];
+                self.stream.read(&mut byte).expect("healthy");
+                self.byte = byte[0];
+                self.left = 8;
+            }
+            self.left -= 1;
+            (self.byte >> self.left) & 1 == 1
+        }
     }
 
     #[test]
@@ -1034,22 +1135,34 @@ mod tests {
     }
 
     #[test]
-    fn sole_conditioned_session_matches_the_legacy_stream() {
-        // One session over a shared source must reproduce the legacy
-        // single-consumer ConditionedStream byte-for-byte.
-        let mut session = source(5).session(Tier::Conditioned);
+    fn sole_conditioned_session_matches_core_adaptor_over_the_merged_stream() {
+        // The source's conditioning stage must produce exactly what the
+        // core `Conditioned` adaptor produces over the same merged raw
+        // bytes: one conditioning implementation, two mounts.
+        let src = builder(5)
+            .conditioner(ConditionerSpec::Crc { ratio: 2 })
+            .build()
+            .expect("valid configuration");
+        let mut session = src.session(Tier::Conditioned);
         let mut got = vec![0u8; 2048];
         session.read(&mut got).expect("healthy");
 
-        let mut legacy = crate::pipeline::PipelineBuilder::new()
-            .shards(2)
-            .seed(5)
-            .chunk_bytes(1024)
-            .build_conditioned();
+        let merged = MergedBits {
+            stream: EntropyStream::builder()
+                .shards(2)
+                .seed(5)
+                .chunk_bytes(1024)
+                .build(),
+            byte: 0,
+            left: 0,
+        };
+        let mut reference = Conditioned::new(merged, CrcWhitener::new(2));
         let mut want = vec![0u8; 2048];
-        legacy.read(&mut want).expect("healthy");
+        Trng::fill_bytes(&mut reference, &mut want);
         assert_eq!(got, want);
         assert_eq!(session.bytes_delivered(), 2048);
+        let stats = src.stats();
+        assert_eq!(stats.consumed_bits, 2 * stats.emitted_bits);
     }
 
     #[test]
@@ -1179,5 +1292,224 @@ mod tests {
         drop(b);
         assert_eq!(src.stats().live_sessions, 0);
         assert_eq!(src.stats().sessions_opened, 2);
+    }
+
+    #[test]
+    fn drbg_session_is_deterministic_and_reseeds_on_interval() {
+        let config = DrbgConfig {
+            reseed_interval_bits: 2048,
+            seed_bytes: 16,
+            prediction_resistance: false,
+        };
+        let read = |seed: u64| {
+            let src = builder(seed)
+                .drbg_config(config)
+                .build()
+                .expect("valid configuration");
+            let mut session = src.session(Tier::Drbg);
+            let mut buf = vec![0u8; 2048];
+            session.read(&mut buf).expect("healthy");
+            (buf, session.reseeds())
+        };
+        let (a, reseeds) = read(7);
+        // 16384 bits over 2048-bit intervals: 8 intervals, 7 reseeds.
+        assert_eq!(reseeds, 7);
+        assert_eq!(a, read(7).0, "same schedule, same DRBG stream");
+        assert_ne!(a, read(8).0, "different master seed, different stream");
+    }
+
+    #[test]
+    fn every_tier_is_balanced() {
+        let src = source(3);
+        for tier in [Tier::Raw, Tier::Conditioned, Tier::Drbg] {
+            let mut session = src.session(tier);
+            assert_eq!(session.tier(), tier);
+            let mut buf = vec![0u8; 1 << 16];
+            session.read(&mut buf).expect("healthy");
+            let ones: u64 = buf.iter().map(|b| u64::from(b.count_ones())).sum();
+            let frac = ones as f64 / (buf.len() as f64 * 8.0);
+            assert!((frac - 0.5).abs() < 0.01, "{tier:?}: ones fraction {frac}");
+        }
+    }
+
+    #[test]
+    fn modeled_throughput_ladder_matches_the_policy_math() {
+        let raw = EntropyStream::builder()
+            .shards(2)
+            .seed(1)
+            .chunk_bytes(1024)
+            .build();
+        let src = builder(1)
+            .conditioner(ConditionerSpec::XorFold(4))
+            .build()
+            .expect("valid configuration");
+        assert_eq!(src.modeled_raw_mbps(), raw.throughput_mbps());
+        assert!(
+            (src.conditioned_mbps() - raw.throughput_mbps() / 4.0).abs() < 1e-9,
+            "conditioned rate = raw / ratio"
+        );
+        let expected = src.conditioned_mbps() * src.drbg_config().expansion_factor();
+        assert!((src.drbg_mbps() - expected).abs() < 1e-6);
+    }
+
+    #[test]
+    fn shard_failure_surfaces_through_every_tier() {
+        for tier in [Tier::Raw, Tier::Conditioned, Tier::Drbg] {
+            let src = EntropySource::builder()
+                .shards(2)
+                .seed(1)
+                .chunk_bytes(256)
+                .health(HealthConfig {
+                    rct_cutoff: 2,
+                    apt_window: 64,
+                    apt_cutoff: 64,
+                })
+                .max_consecutive_restarts(2)
+                .build()
+                .expect("valid configuration");
+            let mut buf = [0u8; 64];
+            let err = strict_session(&src, tier).read(&mut buf).unwrap_err();
+            assert!(
+                matches!(err, Error::ShardFailed { shard: 0, .. }),
+                "{tier:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn injected_failure_surfaces_through_every_tier() {
+        for tier in [Tier::Raw, Tier::Conditioned, Tier::Drbg] {
+            let src = EntropySource::builder()
+                .shards(2)
+                .seed(1)
+                .chunk_bytes(256)
+                .inject_shard_failure(0, 2)
+                .build()
+                .expect("valid configuration");
+            let mut session = strict_session(&src, tier);
+            let mut sink = [0u8; 64];
+            let err = loop {
+                if let Err(e) = session.read(&mut sink) {
+                    break e;
+                }
+            };
+            assert_eq!(
+                err,
+                Error::ShardFailed {
+                    shard: 0,
+                    consecutive_restarts: 0
+                },
+                "{tier:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn core_and_stream_drbg_share_one_state_machine() {
+        // A drbg session over a 1-shard source and a core Drbg over the
+        // equivalent Conditioned<DhTrng> walk the same seed material,
+        // hence the same output stream.
+        let config = DrbgConfig {
+            reseed_interval_bits: 1024,
+            seed_bytes: 8,
+            prediction_resistance: false,
+        };
+        let src = EntropySource::builder()
+            .shards(1)
+            .shard_seeds(vec![42])
+            .chunk_bytes(1024)
+            .conditioner(ConditionerSpec::Crc { ratio: 2 })
+            .drbg_config(config)
+            .build()
+            .expect("valid configuration");
+        let mut session = src.session(Tier::Drbg);
+        let mut session_bytes = vec![0u8; 512];
+        session.read(&mut session_bytes).expect("healthy");
+
+        let source = Conditioned::new(DhTrng::builder().seed(42).build(), CrcWhitener::new(2));
+        let mut adaptor = dhtrng_core::drbg::Drbg::new(source, config);
+        let mut adaptor_bytes = vec![0u8; 512];
+        Trng::fill_bytes(&mut adaptor, &mut adaptor_bytes);
+        assert_eq!(session_bytes, adaptor_bytes);
+    }
+
+    #[test]
+    fn conditioned_read_rolls_back_on_error() {
+        // A failed read must consume nothing: buffered healthy bytes
+        // stay queued and are still drainable exactly once by smaller
+        // retries.
+        let src = EntropySource::builder()
+            .shards(1)
+            .seed(1)
+            .chunk_bytes(256)
+            .health(HealthConfig {
+                rct_cutoff: 2,
+                apt_window: 64,
+                apt_cutoff: 64,
+            })
+            .max_consecutive_restarts(1)
+            .build()
+            .expect("valid configuration");
+        let mut session = src.session(Tier::Conditioned);
+        // Simulate healthy bytes buffered before the source died.
+        session.carry_mut().extend([0xAA, 0xBB, 0xCC]);
+        let mut big = [0u8; 16];
+        assert!(session.read(&mut big).is_err());
+        assert_eq!(
+            session.carry_mut().len(),
+            3,
+            "rolled back, nothing consumed"
+        );
+        assert_eq!(session.bytes_delivered(), 0);
+        // Smaller reads drain the healthy bytes exactly once...
+        let mut small = [0u8; 3];
+        session.read(&mut small).expect("served from the buffer");
+        assert_eq!(small, [0xAA, 0xBB, 0xCC]);
+        assert_eq!(session.bytes_delivered(), 3);
+        // ...after which the terminal error surfaces for good.
+        assert!(session.read(&mut small).is_err());
+        assert_eq!(session.bytes_delivered(), 3);
+    }
+
+    #[test]
+    fn drbg_read_rewinds_current_block_on_error() {
+        // Mirror of the conditioned rollback contract at DRBG block
+        // granularity: a failed oversized read rewinds the current
+        // block, so block-sized retries see its bytes exactly once.
+        // seed_bytes = one full chunk's conditioned output: the
+        // instantiate harvest drains chunk 0 exactly, and the injected
+        // retirement makes the first reseed harvest hit a dead source.
+        let src = EntropySource::builder()
+            .shards(1)
+            .seed(1)
+            .chunk_bytes(256)
+            .inject_shard_failure(0, 1)
+            .drbg_config(DrbgConfig {
+                reseed_interval_bits: 512, // one block per reseed
+                seed_bytes: 128,
+                prediction_resistance: false,
+            })
+            .build()
+            .expect("valid configuration");
+        let mut session = strict_session(&src, Tier::Drbg);
+        // Oversized read: instantiation and the first block succeed and
+        // serve 64 bytes, then the reseed harvest hits the dead source.
+        let mut out = [0u8; 100];
+        assert!(session.read(&mut out).is_err());
+        assert_eq!(
+            session.bytes_delivered(),
+            0,
+            "block rewound, nothing consumed"
+        );
+        // A block-sized retry drains those bytes exactly once...
+        let mut small = [0u8; 64];
+        session
+            .read(&mut small)
+            .expect("served from the rewound block");
+        assert_eq!(small[..], out[..64]);
+        assert_eq!(session.bytes_delivered(), 64);
+        // ...then the terminal error surfaces for good.
+        assert!(session.read(&mut [0u8; 1]).is_err());
+        assert_eq!(session.bytes_delivered(), 64);
     }
 }

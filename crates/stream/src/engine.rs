@@ -72,16 +72,6 @@ impl KernelKind {
     }
 }
 
-/// **Deprecated alias** for the unified [`Error`] — retained so code
-/// written against the pre-ISSUE-6 per-tier error surface keeps
-/// compiling. New code should name [`crate::Error`] directly; the
-/// variants this alias used to own (`ShardFailed`, `ShardDisconnected`)
-/// live there now, next to the session-era failure modes
-/// (`QuotaExceeded`, `Backpressure`, `InvalidConfig`) and the
-/// [`is_retriable`](Error::is_retriable) classification the daemon's
-/// retry logic is built on.
-pub type StreamError = Error;
-
 /// Configures and builds an [`EntropyStream`].
 ///
 /// Obtained via [`EntropyStream::builder`]; every knob has a production
@@ -545,8 +535,7 @@ impl EntropyStream {
     /// failure is deterministic in the seed schedule and the failing
     /// shard's chunk count, never in thread timing. The raw tier does
     /// not roll back the bytes a failing call already wrote into `out`
-    /// ([`ConditionedStream`](crate::pipeline::ConditionedStream) adds
-    /// that contract at the conditioned tier).
+    /// (a conditioned [`Session`](crate::Session) adds that contract).
     ///
     /// # Errors
     ///

@@ -1,11 +1,9 @@
 //! The unified error surface of the streaming stack.
 //!
-//! Before ISSUE 6 every tier re-exported the engine's two-variant
-//! `StreamError`, and each new failure mode (quotas, backpressure,
-//! untrusted configuration) would have grown its own ad-hoc error type
-//! somewhere in the stack. The daemon front-end (`dhtrng-serve`) forced
-//! the collapse: its retry and degradation logic needs **one** error
-//! vocabulary with a machine-checkable
+//! Every layer — the engine, every session tier, and the daemon
+//! front-end (`dhtrng-serve`) — reports failures through the one
+//! [`Error`] type: the daemon's retry and degradation logic needs **one**
+//! error vocabulary with a machine-checkable
 //! [retriability classification](Error::is_retriable), not a per-tier
 //! zoo of variants to match on.
 //!
@@ -23,9 +21,9 @@ use std::fmt;
 ///
 /// Server configuration arrives from untrusted input (a config file, a
 /// peer's `Hello`), so the validating paths return this typed error
-/// instead of panicking the daemon; the legacy in-process builders
-/// (`EntropyStreamBuilder::build`, `PipelineBuilder::build_*`) keep
-/// their documented panics for programmer errors.
+/// instead of panicking the daemon; the in-process
+/// `EntropyStreamBuilder::build` keeps its documented panics for
+/// programmer errors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ConfigError {

@@ -5,9 +5,9 @@
 //! after exactly two chunks — so the drill reproduces bit-for-bit:
 //! the engine's retirement contract guarantees every chunk merged
 //! before the failed shard's round-robin slot is still delivered into
-//! the caller's buffer, and the typed `StreamError::ShardFailed`
-//! surfaces at any pipeline tier (here: the DRBG tier a key-serving
-//! service would expose).
+//! the caller's buffer, and the typed `Error::ShardFailed` surfaces at
+//! any session tier (here: the DRBG tier a key-serving service would
+//! expose).
 //!
 //! The drill also captures the retirement through the telemetry layer:
 //! a deterministic [`Tracer`] records every stage event the doomed
@@ -52,7 +52,7 @@ fn main() {
         doomed.bytes_delivered() as usize / CHUNK,
     );
     assert_eq!(doomed.bytes_delivered(), 7 * CHUNK as u64);
-    assert!(matches!(err, StreamError::ShardFailed { shard: 1, .. }));
+    assert!(matches!(err, Error::ShardFailed { shard: 1, .. }));
 
     // Dump the captured retirement as a Chrome/Perfetto trace. The
     // counters corroborate what the trace shows: exactly one retirement,
@@ -74,12 +74,14 @@ fn main() {
         trace.len(),
     );
 
-    // --- The same failure through the full pipeline, handled. A
+    // --- The same failure through a drbg session, handled. A
     // reseed-heavy policy keeps the drill short: every 512-bit block
     // harvests fresh seed material, so the dead shard surfaces after a
     // handful of keys instead of after the default policy's ~2700x
-    // expansion of the buffered conditioned bytes.
-    let mut service = PipelineBuilder::new()
+    // expansion of the buffered conditioned bytes. Reseed stalling is
+    // off, so the dead source surfaces as the read's error instead of
+    // degrading the session.
+    let source = EntropySource::builder()
         .shards(2)
         .seed(0xFA11)
         .chunk_bytes(CHUNK)
@@ -89,7 +91,9 @@ fn main() {
             prediction_resistance: false,
         })
         .inject_shard_failure(0, 2)
-        .build(Tier::Drbg);
+        .build()
+        .expect("valid configuration");
+    let mut service = source.session_with(SessionConfig::new(Tier::Drbg).stall_reseeds(false));
     // Healthy fallback deployment (in production: the standby replica).
     let mut fallback = StreamRng::with_shards(2, 0x600D);
 
@@ -106,7 +110,7 @@ fn main() {
                     );
                 }
             }
-            Err(StreamError::ShardFailed {
+            Err(Error::ShardFailed {
                 shard,
                 consecutive_restarts,
             }) => {

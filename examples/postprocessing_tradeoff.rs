@@ -3,12 +3,12 @@
 //!
 //! A weak source needs a corrector, and correctors eat throughput. This
 //! example pits a deliberately biased source against the DH-TRNG, with
-//! and without the three classic post-processing stages, and prints the
+//! and without the three classic post-processing stages (each the core
+//! `Conditioned` adaptor over one conditioner machine), and prints the
 //! quality/throughput ledger.
 //!
 //! Run with: `cargo run --release --example postprocessing_tradeoff`
 
-use dh_trng::core::{LfsrWhitener, VonNeumann, XorDecimator};
 use dh_trng::prelude::*;
 
 const BITS: usize = 1 << 19;
@@ -42,23 +42,23 @@ fn main() {
         "weak source, raw", "1.00x"
     );
 
-    let mut vn = VonNeumann::new(weak());
+    let mut vn = Conditioned::new(weak(), VonNeumannConditioner::new());
     let (h, b) = assess(&mut vn, BITS / 4);
     println!(
         "{:<38} {h:>8.4} {b:>9.4} {:>13.2}x",
         "weak + Von Neumann",
-        1.0 / vn.cost()
+        1.0 / vn.measured_ratio()
     );
 
-    let mut x8 = XorDecimator::new(weak(), 8);
+    let mut x8 = Conditioned::new(weak(), XorFold::new(8));
     let (h, b) = assess(&mut x8, BITS / 8);
     println!(
         "{:<38} {h:>8.4} {b:>9.4} {:>13.2}x",
         "weak + XOR-8 decimation",
-        1.0 / f64::from(x8.factor())
+        1.0 / f64::from(x8.conditioner().factor())
     );
 
-    let mut lfsr = LfsrWhitener::new(weak());
+    let mut lfsr = Conditioned::new(weak(), LfsrConditioner::new());
     let (h, b) = assess(&mut lfsr, BITS);
     println!(
         "{:<38} {h:>8.4} {b:>9.4} {:>14}",
@@ -70,12 +70,12 @@ fn main() {
     let (h, b) = assess(&mut dh(), BITS);
     println!("{:<38} {h:>8.4} {b:>9.4} {:>14}", "DH-TRNG, raw", "1.00x");
 
-    let mut vn = VonNeumann::new(dh());
+    let mut vn = Conditioned::new(dh(), VonNeumannConditioner::new());
     let (h, b) = assess(&mut vn, BITS / 4);
     println!(
         "{:<38} {h:>8.4} {b:>9.4} {:>13.2}x",
         "DH-TRNG + Von Neumann",
-        1.0 / vn.cost()
+        1.0 / vn.measured_ratio()
     );
 
     println!(

@@ -20,7 +20,7 @@
 //!   (raw / conditioned / drbg), all driven by one stage-graph
 //!   executor over recycled chunk buffers (zero-allocation
 //!   steady-state raw reads; `DESIGN.md` §7–8), wrapped here by the
-//!   `rand`-compatible [`StreamRng`] and [`PipelineRng`] adapters;
+//!   `rand`-compatible [`StreamRng`] adapter;
 //! * [`serve`] — entropy as a service: the daemon front-end
 //!   (TCP / unix socket, length-prefixed frames) that multiplexes
 //!   many concurrent clients over one shared source, plus the load
@@ -51,18 +51,21 @@
 //!
 //! # Quality tiers
 //!
-//! A production deployment picks one of three output tiers from the
-//! same builder — raw source bits, conditioned bits, or DRBG output
-//! (see `README.md` § "Which tier do I want?"):
+//! A production deployment builds one shared source and mints a
+//! session per consumer at one of three output tiers — raw source
+//! bits, conditioned bits, or DRBG output (see `README.md` § "Which
+//! tier do I want?"). [`StreamRng`] hands any session to `rand`:
 //!
 //! ```
 //! use dh_trng::prelude::*;
 //!
-//! let mut rng = PipelineRng::builder()
+//! let source = EntropySource::builder()
 //!     .shards(2)
 //!     .seed(1)
 //!     .chunk_bytes(2048)
-//!     .build(Tier::Drbg);
+//!     .build()
+//!     .expect("valid configuration");
+//! let mut rng = StreamRng::new(source.session(Tier::Drbg));
 //! let mut key = [0u8; 32];
 //! rand::RngCore::fill_bytes(&mut rng, &mut key);
 //! assert_eq!(rng.stream().tier(), Tier::Drbg);
@@ -86,12 +89,6 @@ pub use dhtrng_stream as stream;
 /// The session-oriented public API: one shared
 /// [`EntropySource`](dhtrng_stream::EntropySource), many independent
 /// [`Session`](dhtrng_stream::Session)s (see `dhtrng_stream::api`).
-///
-/// The legacy single-consumer pipeline
-/// ([`PipelineBuilder`](dhtrng_stream::PipelineBuilder) /
-/// [`TierStream`](dhtrng_stream::TierStream) and the [`PipelineRng`]
-/// adapter here) remains available as bit-identical sole-session
-/// shims over this API.
 pub use dhtrng_stream::api;
 
 /// The most commonly used items across the workspace.
@@ -117,16 +114,39 @@ pub mod prelude {
     pub use dhtrng_stattests::sp800_90b::{min_entropy_mcv, non_iid_battery};
     pub use dhtrng_stattests::BitBuffer;
     pub use dhtrng_stream::{
-        AffinityPolicy, ConditionedStream, ConditionerSpec, DrbgPool, EntropySource, EntropyStream,
-        EntropyStreamBuilder, HealthConfig, KernelKind, PipelineBuilder, Session, SessionConfig,
-        SourceBuilder, StreamError, Tier, TierStream,
+        AffinityPolicy, ConditionerSpec, EntropySource, EntropyStream, EntropyStreamBuilder, Error,
+        HealthConfig, KernelKind, Session, SessionConfig, SourceBuilder, Tier,
     };
 
-    pub use crate::{PipelineRng, StreamRng};
+    pub use crate::StreamRng;
 }
 
-/// `rand`-compatible adapter over the sharded streaming engine: plugs a
-/// multi-instance DH-TRNG deployment into anything that consumes
+/// A byte stream [`StreamRng`] can drive: the sharded engine itself
+/// (the raw tier) or a [`Session`](dhtrng_stream::Session) at any tier.
+pub trait ByteStream {
+    /// Fills `out`, or reports the stream's terminal error.
+    ///
+    /// # Errors
+    ///
+    /// The underlying stream's [`Error`](dhtrng_stream::Error).
+    fn read(&mut self, out: &mut [u8]) -> Result<(), dhtrng_stream::Error>;
+}
+
+impl ByteStream for dhtrng_stream::EntropyStream {
+    fn read(&mut self, out: &mut [u8]) -> Result<(), dhtrng_stream::Error> {
+        dhtrng_stream::EntropyStream::read(self, out)
+    }
+}
+
+impl ByteStream for dhtrng_stream::Session {
+    fn read(&mut self, out: &mut [u8]) -> Result<(), dhtrng_stream::Error> {
+        dhtrng_stream::Session::read(self, out)
+    }
+}
+
+/// `rand`-compatible adapter over a sharded DH-TRNG deployment: plugs
+/// the raw engine, or a session at any quality tier
+/// ([`Tier`](dhtrng_stream::Tier)), into anything that consumes
 /// [`rand::RngCore`] (distributions, shuffles, key generation, other
 /// generators' seeds).
 ///
@@ -134,15 +154,11 @@ pub mod prelude {
 /// [`DhTrng`](dhtrng_core::DhTrng) `RngCore` impl: words are built from
 /// the stream MSB-first.
 ///
-/// This adapter serves the **raw tier**; [`PipelineRng`] serves any
-/// tier of the conditioning/DRBG pipeline behind the same `RngCore`
-/// surface.
-///
 /// # Panics
 ///
 /// The infallible [`rand::RngCore`] methods panic if the underlying
 /// stream fails terminally (a shard retired; see
-/// [`StreamError`](dhtrng_stream::StreamError)). Use
+/// [`Error`](dhtrng_stream::Error)). Use
 /// [`try_fill_bytes`](rand::RngCore::try_fill_bytes) — or inspect
 /// [`stream`](Self::stream) — for a non-panicking path.
 ///
@@ -155,19 +171,43 @@ pub mod prelude {
 /// let mut rng = StreamRng::with_shards(4, 42);
 /// let die: u8 = rng.gen_range(1..=6);
 /// assert!((1..=6).contains(&die));
+///
+/// let source = EntropySource::builder()
+///     .shards(2)
+///     .seed(7)
+///     .chunk_bytes(2048)
+///     .build()
+///     .expect("valid configuration");
+/// let mut rng = StreamRng::new(source.session(Tier::Conditioned));
+/// let die: u8 = rng.gen_range(1..=6);
+/// assert!((1..=6).contains(&die));
 /// ```
 #[derive(Debug)]
-pub struct StreamRng {
-    stream: dhtrng_stream::EntropyStream,
+pub struct StreamRng<S = dhtrng_stream::EntropyStream> {
+    stream: S,
 }
 
-impl StreamRng {
-    /// Wraps an already-configured stream.
-    pub fn new(stream: dhtrng_stream::EntropyStream) -> Self {
+impl<S: ByteStream> StreamRng<S> {
+    /// Wraps an already-configured stream or session.
+    pub fn new(stream: S) -> Self {
         Self { stream }
     }
 
-    /// A stream of `shards` parallel instances at the default
+    /// The stream behind the adapter (for the engine: shard count,
+    /// restart statistics, modeled throughput; for a session: its tier,
+    /// source and counters).
+    pub fn stream(&self) -> &S {
+        &self.stream
+    }
+
+    /// Unwraps the adapter.
+    pub fn into_inner(self) -> S {
+        self.stream
+    }
+}
+
+impl StreamRng {
+    /// A raw stream of `shards` parallel instances at the default
     /// configuration (Artix-7, nominal corner, 64 KiB chunks).
     ///
     /// # Panics
@@ -181,20 +221,9 @@ impl StreamRng {
                 .build(),
         )
     }
-
-    /// The engine behind the adapter (shard count, restart statistics,
-    /// modeled throughput, placements).
-    pub fn stream(&self) -> &dhtrng_stream::EntropyStream {
-        &self.stream
-    }
-
-    /// Unwraps the adapter.
-    pub fn into_inner(self) -> dhtrng_stream::EntropyStream {
-        self.stream
-    }
 }
 
-impl rand::RngCore for StreamRng {
+impl<S: ByteStream> rand::RngCore for StreamRng<S> {
     fn next_u32(&mut self) -> u32 {
         let mut bytes = [0u8; 4];
         self.fill_bytes(&mut bytes);
@@ -211,178 +240,6 @@ impl rand::RngCore for StreamRng {
         self.stream
             .read(dest)
             .expect("entropy stream failed terminally");
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.stream.read(dest).map_err(rand::Error::new)
-    }
-}
-
-/// `rand`-compatible adapter over the typed output pipeline: one
-/// `RngCore` surface for all three quality tiers
-/// ([`Tier`](dhtrng_stream::Tier)) of a sharded DH-TRNG deployment —
-/// `raw` source bits, `conditioned` bits, or SP 800-90C-style `drbg`
-/// output.
-///
-/// Byte and word order match [`StreamRng`] (words built MSB-first from
-/// the tier's byte stream).
-///
-/// **Legacy shim.** The pipeline underneath is now a bit-identical
-/// sole-session view over the session-oriented [`api`]
-/// ([`EntropySource`](dhtrng_stream::EntropySource) /
-/// [`Session`](dhtrng_stream::Session)); new code that wants multiple
-/// consumers, quotas, or graceful degradation should open sessions
-/// directly and wrap them as needed.
-///
-/// # Panics
-///
-/// As [`StreamRng`]: the infallible [`rand::RngCore`] methods panic if
-/// the underlying engine fails terminally (every tier propagates the
-/// same typed [`StreamError`](dhtrng_stream::StreamError)); use
-/// [`try_fill_bytes`](rand::RngCore::try_fill_bytes) for a
-/// non-panicking path.
-///
-/// # Example
-///
-/// ```
-/// use dh_trng::prelude::*;
-/// use rand::Rng;
-///
-/// let mut rng = PipelineRng::builder()
-///     .shards(2)
-///     .seed(7)
-///     .chunk_bytes(2048)
-///     .build(Tier::Conditioned);
-/// let die: u8 = rng.gen_range(1..=6);
-/// assert!((1..=6).contains(&die));
-/// ```
-#[derive(Debug)]
-pub struct PipelineRng {
-    stream: dhtrng_stream::TierStream,
-}
-
-impl PipelineRng {
-    /// Wraps an already-built tier stream.
-    pub fn new(stream: dhtrng_stream::TierStream) -> Self {
-        Self { stream }
-    }
-
-    /// Starts configuring a pipeline; finish with
-    /// [`PipelineBuilder::build`](dhtrng_stream::PipelineBuilder::build)
-    /// and wrap the result via [`new`](Self::new) — or use
-    /// [`with_tier`](Self::with_tier) for the defaults.
-    pub fn builder() -> PipelineRngBuilder {
-        PipelineRngBuilder {
-            inner: dhtrng_stream::PipelineBuilder::new(),
-        }
-    }
-
-    /// A `shards`-wide pipeline at the stage defaults, serving `tier`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is outside `1..=64`.
-    pub fn with_tier(shards: usize, seed: u64, tier: dhtrng_stream::Tier) -> Self {
-        Self::new(
-            dhtrng_stream::PipelineBuilder::new()
-                .shards(shards)
-                .seed(seed)
-                .build(tier),
-        )
-    }
-
-    /// The tier stream behind the adapter (tier, modeled throughput,
-    /// stage statistics, the raw engine).
-    pub fn stream(&self) -> &dhtrng_stream::TierStream {
-        &self.stream
-    }
-
-    /// Unwraps the adapter.
-    pub fn into_inner(self) -> dhtrng_stream::TierStream {
-        self.stream
-    }
-}
-
-/// Builder returned by [`PipelineRng::builder`]: the pipeline builder
-/// with a [`build`](Self::build) that wraps the chosen tier in the
-/// `rand` adapter directly.
-#[derive(Debug, Clone, Default)]
-pub struct PipelineRngBuilder {
-    inner: dhtrng_stream::PipelineBuilder,
-}
-
-impl PipelineRngBuilder {
-    /// Number of parallel DH-TRNG instances (1..=64).
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.inner = self.inner.shards(shards);
-        self
-    }
-
-    /// Master seed for the shard seed schedule.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.inner = self.inner.seed(seed);
-        self
-    }
-
-    /// Bytes per produced chunk (the engine's merge granularity).
-    #[must_use]
-    pub fn chunk_bytes(mut self, bytes: usize) -> Self {
-        self.inner = self.inner.chunk_bytes(bytes);
-        self
-    }
-
-    /// Conditioner for the conditioned and drbg tiers.
-    #[must_use]
-    pub fn conditioner(mut self, spec: dhtrng_stream::ConditionerSpec) -> Self {
-        self.inner = self.inner.conditioner(spec);
-        self
-    }
-
-    /// DRBG policy for the drbg tier.
-    #[must_use]
-    pub fn drbg_config(mut self, config: dhtrng_core::drbg::DrbgConfig) -> Self {
-        self.inner = self.inner.drbg_config(config);
-        self
-    }
-
-    /// Every other engine knob (shard seed schedules, health cutoffs,
-    /// restart budgets, device config): the underlying
-    /// [`PipelineBuilder`](dhtrng_stream::PipelineBuilder).
-    #[must_use]
-    pub fn pipeline(self) -> dhtrng_stream::PipelineBuilder {
-        self.inner
-    }
-
-    /// Builds the chosen tier behind the `rand` adapter.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid configuration (see
-    /// [`PipelineBuilder::build`](dhtrng_stream::PipelineBuilder::build)).
-    pub fn build(self, tier: dhtrng_stream::Tier) -> PipelineRng {
-        PipelineRng::new(self.inner.build(tier))
-    }
-}
-
-impl rand::RngCore for PipelineRng {
-    fn next_u32(&mut self) -> u32 {
-        let mut bytes = [0u8; 4];
-        self.fill_bytes(&mut bytes);
-        u32::from_be_bytes(bytes)
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut bytes = [0u8; 8];
-        self.fill_bytes(&mut bytes);
-        u64::from_be_bytes(bytes)
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.stream
-            .read(dest)
-            .expect("entropy pipeline failed terminally");
     }
 
     fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
@@ -447,14 +304,16 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_rng_serves_all_three_tiers() {
+    fn stream_rng_serves_sessions_at_all_three_tiers() {
         use rand::{Rng, RngCore};
+        let source = EntropySource::builder()
+            .shards(2)
+            .seed(13)
+            .chunk_bytes(1024)
+            .build()
+            .expect("valid configuration");
         for tier in [Tier::Raw, Tier::Conditioned, Tier::Drbg] {
-            let mut rng = PipelineRng::builder()
-                .shards(2)
-                .seed(13)
-                .chunk_bytes(1024)
-                .build(tier);
+            let mut rng = StreamRng::new(source.session(tier));
             assert_eq!(rng.stream().tier(), tier);
             let mut key = [0u8; 32];
             rng.fill_bytes(&mut key);
@@ -465,33 +324,40 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_raw_tier_matches_stream_rng() {
+    fn raw_session_matches_the_engine_stream() {
         use rand::RngCore;
-        let mut pipeline = PipelineRng::with_tier(2, 21, Tier::Raw);
+        let mut session = StreamRng::new(
+            EntropySource::builder()
+                .shards(2)
+                .seed(21)
+                .build()
+                .expect("valid configuration")
+                .session(Tier::Raw),
+        );
         let mut direct = StreamRng::with_shards(2, 21);
         let mut a = [0u8; 64];
         let mut b = [0u8; 64];
-        pipeline.fill_bytes(&mut a);
+        session.fill_bytes(&mut a);
         direct.fill_bytes(&mut b);
-        assert_eq!(a, b, "raw tier is the engine stream itself");
+        assert_eq!(a, b, "the raw tier is the engine stream itself");
     }
 
     #[test]
-    fn pipeline_rng_surfaces_tier_errors_through_try_fill() {
+    fn stream_rng_surfaces_session_errors_through_try_fill() {
         use rand::RngCore;
-        let mut rng = PipelineRng::new(
-            PipelineBuilder::new()
-                .shards(1)
-                .seed(3)
-                .chunk_bytes(256)
-                .health(crate::stream::HealthConfig {
-                    rct_cutoff: 2,
-                    apt_window: 64,
-                    apt_cutoff: 64,
-                })
-                .max_consecutive_restarts(2)
-                .build(Tier::Drbg),
-        );
+        let source = EntropySource::builder()
+            .shards(1)
+            .seed(3)
+            .chunk_bytes(256)
+            .health(HealthConfig {
+                rct_cutoff: 2,
+                apt_window: 64,
+                apt_cutoff: 64,
+            })
+            .max_consecutive_restarts(2)
+            .build()
+            .expect("valid configuration");
+        let mut rng = StreamRng::new(source.session(Tier::Drbg));
         let mut buf = [0u8; 16];
         assert!(rng.try_fill_bytes(&mut buf).is_err());
     }

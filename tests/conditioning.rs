@@ -112,22 +112,24 @@ fn drbg_stream_head_is_pinned_for_fixed_seed() {
         "core Drbg stream head moved"
     );
 
-    // And the stream-level pool over the sharded engine (2 shards,
-    // default 2:1 CRC conditioning, default DRBG policy).
-    let mut pool = PipelineBuilder::new()
+    // And a drbg session over the sharded engine (2 shards, default
+    // 2:1 CRC conditioning, default DRBG policy).
+    let mut session = EntropySource::builder()
         .shards(2)
         .seed(0xD5EED)
         .chunk_bytes(4096)
-        .build_drbg();
+        .build()
+        .expect("valid configuration")
+        .session_with(SessionConfig::new(Tier::Drbg).stall_reseeds(false));
     let mut head = [0u8; 16];
-    pool.read(&mut head).expect("healthy pipeline");
+    session.read(&mut head).expect("healthy source");
     assert_eq!(
         head,
         [
             0x05, 0xD5, 0xBD, 0x7A, 0xC8, 0xEC, 0x40, 0x46, 0x10, 0x83, 0xBE, 0xC0, 0xE6, 0x9C,
             0xA0, 0x5E
         ],
-        "DrbgPool stream head moved"
+        "drbg session stream head moved"
     );
 }
 
@@ -143,14 +145,16 @@ fn conditioners_handle_empty_input() {
     assert_eq!(cond.emitted(), 0);
     assert!(cond.measured_ratio().is_infinite());
 
-    let mut pool = PipelineBuilder::new()
+    let mut session = EntropySource::builder()
         .shards(1)
         .seed(1)
         .chunk_bytes(512)
-        .build_drbg();
-    pool.read(&mut []).expect("empty read is a no-op");
-    assert_eq!(pool.bytes_delivered(), 0);
-    assert_eq!(pool.reseeds(), 0);
+        .build()
+        .expect("valid configuration")
+        .session(Tier::Drbg);
+    session.read(&mut []).expect("empty read is a no-op");
+    assert_eq!(session.bytes_delivered(), 0);
+    assert_eq!(session.reseeds(), 0);
 }
 
 /// A stuck source, for the all-zero / all-one block edge cases.
@@ -207,27 +211,34 @@ fn compression_ratio_boundaries() {
     assert_eq!(wide.measured_ratio(), 64.0);
 
     // The stream-level stage agrees with the declared expectation.
-    let mut tier = PipelineBuilder::new()
+    let source = EntropySource::builder()
         .shards(1)
         .seed(2)
         .chunk_bytes(512)
         .conditioner(ConditionerSpec::XorFold(4))
-        .build_conditioned();
+        .build()
+        .expect("valid configuration");
     let mut buf = [0u8; 256];
-    tier.read(&mut buf).expect("healthy");
-    assert_eq!(tier.measured_ratio(), 4.0);
-    assert_eq!(tier.spec().expected_ratio(), 4.0);
+    source
+        .session(Tier::Conditioned)
+        .read(&mut buf)
+        .expect("healthy");
+    let stats = source.stats();
+    assert_eq!(stats.consumed_bits as f64 / stats.emitted_bits as f64, 4.0);
+    assert_eq!(source.conditioner().expected_ratio(), 4.0);
 }
 
 #[test]
 fn conditioned_tier_determinism_across_runs_and_slicings() {
     let make = || {
-        PipelineBuilder::new()
+        EntropySource::builder()
             .shards(3)
             .seed(0xAB)
             .chunk_bytes(1024)
             .conditioner(ConditionerSpec::Crc { ratio: 2 })
-            .build_conditioned()
+            .build()
+            .expect("valid configuration")
+            .session(Tier::Conditioned)
     };
     let mut whole = make();
     let mut expect = vec![0u8; 3000];
@@ -245,7 +256,7 @@ fn conditioned_tier_determinism_across_runs_and_slicings() {
 
 #[test]
 fn prediction_resistance_pulls_fresh_entropy_per_block() {
-    let mut pool = PipelineBuilder::new()
+    let mut session = EntropySource::builder()
         .shards(1)
         .seed(5)
         .chunk_bytes(512)
@@ -254,13 +265,15 @@ fn prediction_resistance_pulls_fresh_entropy_per_block() {
             seed_bytes: 16,
             ..DrbgConfig::default()
         })
-        .build_drbg();
+        .build()
+        .expect("valid configuration")
+        .session(Tier::Drbg);
     let mut buf = vec![0u8; 4 * 64]; // four DRBG blocks
-    pool.read(&mut buf).expect("healthy");
+    session.read(&mut buf).expect("healthy");
     // Block 1 rides the instantiate material; blocks 2..4 each reseed.
-    assert_eq!(pool.reseeds(), 3);
+    assert_eq!(session.reseeds(), 3);
     // Conditioned consumption: (instantiate + 3 reseeds) x 16 bytes.
-    assert_eq!(pool.conditioned().bytes_delivered(), 64);
+    assert_eq!(session.harvested_bytes(), 64);
 }
 
 // ---------------------------------------------------------------------

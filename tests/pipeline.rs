@@ -12,16 +12,19 @@ fn stream(seed: u64, nbits: usize) -> BitBuffer {
     (0..nbits).map(|_| trng.next_bit()).collect()
 }
 
-/// `nbits` of drbg-tier output from the full sharded pipeline
-/// (source → health tests → conditioner → DRBG) at master seed `seed`.
+/// `nbits` of drbg-tier output from a session on the full sharded
+/// chain (source → health tests → conditioner → DRBG) at master seed
+/// `seed`.
 fn drbg_tier_stream(seed: u64, nbits: usize) -> BitBuffer {
-    let mut pool = PipelineBuilder::new()
+    let mut session = EntropySource::builder()
         .shards(2)
         .seed(seed)
         .chunk_bytes(4096)
-        .build_drbg();
+        .build()
+        .expect("valid configuration")
+        .session(Tier::Drbg);
     let mut bytes = vec![0u8; nbits / 8];
-    pool.read(&mut bytes).expect("healthy pipeline");
+    session.read(&mut bytes).expect("healthy source");
     bytes
         .iter()
         .flat_map(|&b| (0..8).rev().map(move |i| (b >> i) & 1 == 1))
@@ -109,14 +112,16 @@ fn sp800_22_core_tests_pass_on_block_conditioned_tier_output() {
     // serial machines, so any structure here would mean a kernel bug,
     // not seed luck.
     let conditioned_stream = |seed: u64, nbits: usize| -> BitBuffer {
-        let mut tier = PipelineBuilder::new()
+        let mut session = EntropySource::builder()
             .shards(3)
             .seed(seed)
             .chunk_bytes(4096)
             .conditioner(ConditionerSpec::Crc { ratio: 2 })
-            .build_conditioned();
+            .build()
+            .expect("valid configuration")
+            .session(Tier::Conditioned);
         let mut bytes = vec![0u8; nbits / 8];
-        tier.read(&mut bytes).expect("healthy pipeline");
+        session.read(&mut bytes).expect("healthy source");
         bytes
             .iter()
             .flat_map(|&b| (0..8).rev().map(move |i| (b >> i) & 1 == 1))

@@ -35,32 +35,21 @@ fn flaky_health() -> HealthConfig {
     }
 }
 
-/// Drains a conditioned stream until its terminal error, reading
-/// `read_size` bytes at a time and falling back to byte-sized retries
-/// after the first failure. Returns every byte delivered.
-fn drain_conditioned(mut tier: ConditionedStream, mut read_size: usize) -> Vec<u8> {
+/// Drains a session until its terminal error, reading `read_size`
+/// bytes at a time and falling back to byte-sized retries after the
+/// first failure. Returns every byte delivered. (Drbg sessions are
+/// drained with reads of at most one block, the granularity the rewind
+/// contract covers.)
+fn drain(source: EntropySource, tier: Tier, mut read_size: usize) -> Vec<u8> {
+    assert!(tier != Tier::Drbg || read_size <= 64);
+    // Reseed stalling off: the dead source surfaces as the read's error.
+    let mut session = source.session_with(SessionConfig::new(tier).stall_reseeds(false));
     let mut delivered = Vec::new();
     loop {
         let mut buf = vec![0u8; read_size];
-        match tier.read(&mut buf) {
+        match session.read(&mut buf) {
             Ok(()) => delivered.extend_from_slice(&buf),
             Err(_) if read_size > 1 => read_size = 1,
-            Err(_) => return delivered,
-        }
-    }
-}
-
-/// Drains a drbg pool until its terminal error with reads of at most
-/// one block (the granularity the rewind contract covers).
-fn drain_drbg(mut pool: DrbgPool, read_size: usize) -> Vec<u8> {
-    assert!(read_size <= 64);
-    let mut delivered = Vec::new();
-    let mut size = read_size;
-    loop {
-        let mut buf = vec![0u8; size];
-        match pool.read(&mut buf) {
-            Ok(()) => delivered.extend_from_slice(&buf),
-            Err(_) if size > 1 => size = 1,
             Err(_) => return delivered,
         }
     }
@@ -119,17 +108,18 @@ proptest! {
         fail_after in 1u64..5,
         read_size in 2usize..96,
     ) {
-        let build = || PipelineBuilder::new()
+        let build = || EntropySource::builder()
             .shards(2)
             .seed(seed)
             .chunk_bytes(256)
             .inject_shard_failure(0, fail_after)
-            .build_conditioned();
+            .build()
+            .expect("valid configuration");
         // However the reads are sliced, the bytes delivered across
         // retries before the terminal error must be identical: the
         // rollback contract restores everything a failed read copied.
-        let by_slices = drain_conditioned(build(), read_size);
-        let byte_at_a_time = drain_conditioned(build(), 1);
+        let by_slices = drain(build(), Tier::Conditioned, read_size);
+        let byte_at_a_time = drain(build(), Tier::Conditioned, 1);
         prop_assert_eq!(by_slices, byte_at_a_time);
     }
 
@@ -139,7 +129,7 @@ proptest! {
         fail_after in 1u64..4,
         read_size in 2usize..65,
     ) {
-        let build = || PipelineBuilder::new()
+        let build = || EntropySource::builder()
             .shards(2)
             .seed(seed)
             .chunk_bytes(256)
@@ -151,9 +141,10 @@ proptest! {
                 prediction_resistance: false,
             })
             .inject_shard_failure(0, fail_after)
-            .build_drbg();
-        let by_blocks = drain_drbg(build(), read_size);
-        let byte_at_a_time = drain_drbg(build(), 1);
+            .build()
+            .expect("valid configuration");
+        let by_blocks = drain(build(), Tier::Drbg, read_size);
+        let byte_at_a_time = drain(build(), Tier::Drbg, 1);
         prop_assert_eq!(by_blocks, byte_at_a_time);
     }
 }

@@ -155,18 +155,19 @@ fn full_width_bank_is_accepted_and_lane_exact() {
 }
 
 /// The engine-level contract the CI kernel-matrix enforces: both forced
-/// kernels produce the identical merged stream, for every tier of the
-/// pipeline.
+/// kernels produce the identical merged stream, for every session tier.
 #[test]
 fn forced_kernels_agree_across_all_tiers() {
     for tier in [Tier::Raw, Tier::Conditioned, Tier::Drbg] {
         let make = |kernel: KernelKind| {
-            PipelineBuilder::new()
+            EntropySource::builder()
                 .shards(3)
                 .seed(90)
                 .chunk_bytes(512)
                 .kernel(kernel)
-                .build(tier)
+                .build()
+                .expect("valid configuration")
+                .session(tier)
         };
         let mut scalar = make(KernelKind::Scalar);
         let mut sliced = make(KernelKind::Sliced);

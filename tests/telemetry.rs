@@ -23,7 +23,7 @@ const CHUNK: usize = 256;
 
 /// Scenario A: two shards, shard 1 retires after 3 healthy chunks.
 /// Returns the tracer and the terminal error the stream surfaced.
-fn run_injected_retirement(tracer: &Arc<Tracer>, kernel: Option<KernelKind>) -> StreamError {
+fn run_injected_retirement(tracer: &Arc<Tracer>, kernel: Option<KernelKind>) -> Error {
     let mut builder = EntropyStream::builder()
         .shards(2)
         .seed(4)
@@ -66,7 +66,7 @@ fn injected_failure_emits_exactly_the_expected_event_sequence() {
     let error = run_injected_retirement(&tracer, None);
     assert_eq!(
         error,
-        StreamError::ShardFailed {
+        Error::ShardFailed {
             shard: 1,
             consecutive_restarts: 0
         }
@@ -133,7 +133,7 @@ fn health_exhaustion_emits_the_full_restart_ladder() {
     let error = stream.read(&mut [0u8; 1]).expect_err("nothing can pass");
     assert_eq!(
         error,
-        StreamError::ShardFailed {
+        Error::ShardFailed {
             shard: 0,
             consecutive_restarts: 3
         }

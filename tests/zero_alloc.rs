@@ -238,24 +238,26 @@ fn conditioned_tier_steady_state_reads_do_not_allocate() {
     if ran_in_child("conditioned_tier_steady_state_reads_do_not_allocate") {
         return;
     }
-    let mut tier = PipelineBuilder::new()
+    let mut session = EntropySource::builder()
         .shards(2)
         .seed(0xB10C)
         .chunk_bytes(4096)
         .queue_chunks(4)
         .conditioner(ConditionerSpec::Crc { ratio: 2 })
-        .build_conditioned();
+        .build()
+        .expect("valid configuration")
+        .session(Tier::Conditioned);
     let mut buf = vec![0u8; 4096];
 
     // Prime: pool commit, session carry growth, conditioner tables.
     for _ in 0..48 {
-        tier.read(&mut buf).expect("healthy pipeline");
+        session.read(&mut buf).expect("healthy source");
     }
 
     let reads = 64;
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     for _ in 0..reads {
-        tier.read(&mut buf).expect("healthy pipeline");
+        session.read(&mut buf).expect("healthy source");
     }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
 
