@@ -123,6 +123,35 @@ pub mod prelude {
 
 /// A byte stream [`StreamRng`] can drive: the sharded engine itself
 /// (the raw tier) or a [`Session`](dhtrng_stream::Session) at any tier.
+///
+/// # Example
+///
+/// ```
+/// use dh_trng::prelude::*;
+/// use dh_trng::ByteStream;
+/// use rand::RngCore;
+///
+/// fn head<S: ByteStream>(stream: &mut S) -> [u8; 16] {
+///     let mut out = [0u8; 16];
+///     stream.read(&mut out).expect("healthy stream");
+///     out
+/// }
+///
+/// let source = EntropySource::builder()
+///     .shards(2)
+///     .seed(7)
+///     .chunk_bytes(2048)
+///     .build()
+///     .expect("valid configuration");
+/// let mut drbg = source.session(Tier::Drbg);
+/// let first = head(&mut drbg);
+/// assert_ne!(first, head(&mut drbg));
+///
+/// let mut rng = StreamRng::new(source.session(Tier::Drbg));
+/// let _key = rng.next_u64();
+/// assert_eq!(rng.stream().tier(), Tier::Drbg);
+/// assert_eq!(rng.stream().bytes_delivered(), 8);
+/// ```
 pub trait ByteStream {
     /// Fills `out`, or reports the stream's terminal error.
     ///
