@@ -5,7 +5,11 @@
 //! `bench_report` measures the same two paths with its own adaptive
 //! timer and publishes `conditioning.block_speedup` in BENCH_9.json
 //! (acceptance: ≥ 4x for CRC-16 at ratio 2); this criterion group is
-//! the interactive/quick-sweep view of the same comparison.
+//! the interactive/quick-sweep view of the same comparison. The
+//! `stage` row times the production mount: a boxed CRC ratio-2 machine
+//! behind `ConditionerStage::process`, which conditions a 64 KiB chunk
+//! in place through its staging slices (each iteration first restores
+//! the raw chunk, a 64 KiB copy).
 
 use criterion::measurement::WallTime;
 use criterion::{
@@ -14,6 +18,7 @@ use criterion::{
 use dhtrng_core::conditioning::{
     BitSink, Conditioner, CrcWhitener, LfsrConditioner, VonNeumannConditioner, XorFold,
 };
+use dhtrng_core::kernel::{BitBlock, ConditionerStage, Stage};
 use std::hint::black_box;
 
 const RAW_BYTES: usize = 1 << 16;
@@ -60,12 +65,31 @@ fn bench_block<C: Conditioner>(group: &mut BenchmarkGroup<'_, WallTime>, name: &
     });
 }
 
+fn bench_stage(
+    group: &mut BenchmarkGroup<'_, WallTime>,
+    name: &str,
+    cond: Box<dyn Conditioner + Send>,
+) {
+    let raw = raw_input();
+    let mut chunk = vec![0u8; RAW_BYTES];
+    let mut stage = ConditionerStage::new(cond);
+    group.bench_function(BenchmarkId::new("stage", name), |b| {
+        b.iter(|| {
+            chunk.copy_from_slice(&raw);
+            let mut block = BitBlock::full(&mut chunk);
+            stage.process(&mut block);
+            black_box(block.whole_bytes())
+        })
+    });
+}
+
 fn conditioning_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("conditioning");
     group.throughput(Throughput::Elements((RAW_BYTES * 8) as u64));
 
     bench_serial(&mut group, "crc-ratio2", CrcWhitener::new(2));
     bench_block(&mut group, "crc-ratio2", CrcWhitener::new(2));
+    bench_stage(&mut group, "crc-ratio2", Box::new(CrcWhitener::new(2)));
     bench_serial(&mut group, "crc-ratio1", CrcWhitener::new(1));
     bench_block(&mut group, "crc-ratio1", CrcWhitener::new(1));
     bench_serial(&mut group, "lfsr", LfsrConditioner::new());

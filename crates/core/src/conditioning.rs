@@ -556,8 +556,8 @@ pub struct CrcWhitener {
     ratio: u32,
     crc: u16,
     fed: u32,
-    /// GF(2) byte-transition tables for the block path, built once at
-    /// construction for this ratio (`None` above
+    /// GF(2) byte and 8-byte transition tables for the block path,
+    /// built once at construction for this ratio (`None` above
     /// [`CRC_TABLE_MAX_RATIO`], where the bit-serial path is already
     /// emission-starved and cheap). Shared by clones.
     tables: Option<Arc<CrcTables>>,
@@ -578,20 +578,45 @@ const CRC_TABLE_MAX_RATIO: u32 = 64;
 /// State advance is phase-independent (emitting never mutates the
 /// register); the emission tables are per phase (`fed` at byte start),
 /// because the phase decides *which* of the 8 intermediate low bits
-/// are sampled. All entries are built by brute-force simulation of the
-/// bit-serial machine, so bit-identity holds by construction.
+/// are sampled. All byte entries are built by brute-force simulation
+/// of the bit-serial machine, so bit-identity holds by construction;
+/// the 8-byte tables are composed from them.
 #[derive(Debug)]
 struct CrcTables {
     s_hi: [u16; 256],
     s_lo: [u16; 256],
     s_b: [u16; 256],
     /// Per phase: packed emissions (MSB-first) attributable to the
-    /// input byte / register high byte / register low byte.
+    /// input byte / register high byte. The low byte contributes none
+    /// within a byte: each emitted bit is its step's feedback bit
+    /// (`POLY` sets the shifted register's bit 0 exactly when it feeds
+    /// back), and a low-byte bit needs 8 shifts to reach bit 15.
     e_b: Vec<[u8; 256]>,
     e_hi: Vec<[u8; 256]>,
-    e_lo: Vec<[u8; 256]>,
     /// Per phase: emissions per byte (0..=8), the same for every input.
     count: Vec<u8>,
+    /// Per phase: the 8-byte lane's tables, for ratios 2, 4 and 8
+    /// (empty otherwise).
+    wide: Vec<WideTables>,
+}
+
+/// The 8-byte lane's tables for one phase of ratio 2, 4 or 8.
+///
+/// Each entry packs a contribution to the register after 8 input bytes
+/// (low 16 bits) and to the `64 / ratio` emissions of those bytes
+/// (above them, earliest emission highest). By the byte tables'
+/// superposition, widened to 8 bytes, the lane's state and emissions
+/// are the XOR of one entry per input byte and position plus one per
+/// register byte, so the loop-carried chain is one register lookup per
+/// 8 bytes.
+#[derive(Debug)]
+struct WideTables {
+    /// `by_pos[j][x]`: input byte `x` at position `j`, every other
+    /// input byte and the register zero.
+    by_pos: [[u64; 256]; 8],
+    /// Register high / low byte `x`, 8 zero input bytes.
+    hi: [u64; 256],
+    lo: [u64; 256],
 }
 
 fn build_crc_tables(ratio: u32) -> CrcTables {
@@ -618,8 +643,8 @@ fn build_crc_tables(ratio: u32) -> CrcTables {
         s_b: [0; 256],
         e_b: Vec::with_capacity(ratio as usize),
         e_hi: Vec::with_capacity(ratio as usize),
-        e_lo: Vec::with_capacity(ratio as usize),
         count: Vec::with_capacity(ratio as usize),
+        wide: Vec::new(),
     };
     for x in 0..256usize {
         t.s_hi[x] = sim((x as u16) << 8, 0, 0).0;
@@ -629,18 +654,95 @@ fn build_crc_tables(ratio: u32) -> CrcTables {
     for p in 0..ratio {
         let mut e_b = [0u8; 256];
         let mut e_hi = [0u8; 256];
-        let mut e_lo = [0u8; 256];
         for x in 0..256usize {
             e_b[x] = sim(0, p, x as u8).1;
             e_hi[x] = sim((x as u16) << 8, p, 0).1;
-            e_lo[x] = sim(x as u16, p, 0).1;
         }
         t.e_b.push(e_b);
         t.e_hi.push(e_hi);
-        t.e_lo.push(e_lo);
         t.count.push(sim(0, p, 0).2);
     }
+    if ratio > 1 && 8 % ratio == 0 {
+        t.wide = (0..ratio as usize).map(|p| build_wide(&t, p)).collect();
+    }
     t
+}
+
+/// Composes phase `p`'s 8-byte tables from the byte tables.
+///
+/// An input byte at position 7 contributes its own emissions in the
+/// last slot and leaves `s_b[x]` in the register; one position earlier,
+/// the same contribution runs through one more zero input byte. So
+/// every position's entry is the next one's advanced by one zero byte
+/// ([`wide_advance`]), and the register entries are 8 such advances:
+/// 5,888 advances for a phase's 2,560 entries.
+fn build_wide(t: &CrcTables, p: usize) -> WideTables {
+    let mut w = WideTables {
+        by_pos: [[0; 256]; 8],
+        hi: [0; 256],
+        lo: [0; 256],
+    };
+    let n = u32::from(t.count[p]);
+    for x in 0..256usize {
+        let mut v = u64::from(t.e_b[p][x]) << 16 | u64::from(t.s_b[x]);
+        w.by_pos[7][x] = v;
+        for j in (0..7).rev() {
+            v = wide_advance(t, p, n, v);
+            w.by_pos[j][x] = v;
+        }
+        let (mut hi, mut lo) = ((x as u64) << 8, x as u64);
+        for _ in 0..8 {
+            hi = wide_advance(t, p, n, hi);
+            lo = wide_advance(t, p, n, lo);
+        }
+        w.hi[x] = hi;
+        w.lo[x] = lo;
+    }
+    w
+}
+
+/// One zero input byte applied to a packed 8-byte entry at phase `p`
+/// with `n` emissions per byte: the emissions so far move one slot
+/// earlier, the register's emissions fill the last slot, and the
+/// register advances.
+fn wide_advance(t: &CrcTables, p: usize, n: u32, v: u64) -> u64 {
+    let hi = (v >> 8) as u8 as usize;
+    let lo = v as u8 as usize;
+    let emitted = (v >> 16) << n | u64::from(t.e_hi[p][hi]);
+    emitted << 16 | u64::from(t.s_hi[hi] ^ t.s_lo[lo])
+}
+
+/// The 8-byte lane over `raw`, a whole number of 8-byte words, for a
+/// ratio emitting `8 * OUT` bits per word; returns the register after
+/// the last word.
+///
+/// Every word emits whole bytes, so the sink's partial-byte length is
+/// invariant and each word writes exactly `OUT` bytes.
+fn wide_lane<const OUT: usize>(
+    w: &WideTables,
+    mut crc: u16,
+    raw: &[u8],
+    sink: &mut BitSink<'_>,
+) -> u16 {
+    let n = 8 * OUT as u32;
+    let keep = sink.acc_len;
+    let mut acc = u64::from(sink.acc);
+    let mut pos = sink.bytes;
+    for word in raw.chunks_exact(8) {
+        let v = word.iter().zip(&w.by_pos).fold(
+            w.hi[usize::from(crc >> 8)] ^ w.lo[usize::from(crc & 0xFF)],
+            |v, (&b, t)| v ^ t[usize::from(b)],
+        );
+        crc = v as u16;
+        let bits = acc << n | v >> 16;
+        acc = bits & ((1 << keep) - 1);
+        sink.buf[pos..pos + OUT].copy_from_slice(&(bits >> keep).to_be_bytes()[8 - OUT..]);
+        pos += OUT;
+    }
+    sink.pushed += u64::from(n) * (raw.len() / 8) as u64;
+    sink.bytes = pos;
+    sink.acc = acc as u8;
+    crc
 }
 
 impl CrcWhitener {
@@ -648,8 +750,9 @@ impl CrcWhitener {
     ///
     /// Ratios up to 64 also precompute the GF(2)
     /// byte-transition tables behind
-    /// [`condition_block`](Conditioner::condition_block); larger
-    /// ratios fall back to the bit-serial path there.
+    /// [`condition_block`](Conditioner::condition_block), and ratios
+    /// 2, 4 and 8 the 8-byte tables composed from them (20 KiB per
+    /// phase); larger ratios fall back to the bit-serial path there.
     ///
     /// # Panics
     ///
@@ -704,7 +807,7 @@ impl Conditioner for CrcWhitener {
     }
 
     fn condition_block(&mut self, raw: &[u8], sink: &mut BitSink<'_>) {
-        let Some(t) = self.tables.clone() else {
+        let Some(t) = self.tables.as_deref() else {
             for &byte in raw {
                 for i in (0..8).rev() {
                     if let Some(bit) = self.push((byte >> i) & 1 == 1) {
@@ -716,20 +819,32 @@ impl Conditioner for CrcWhitener {
         };
         let mut crc = self.crc;
         if 8 % self.ratio == 0 {
-            // Constant-phase fast lane (ratio 1/2/4/8): the phase is
-            // invariant across bytes, so the per-phase emission tables
-            // hoist out of the loop and the packer runs on locals —
-            // one flush per input byte at most (n ≤ 8).
+            // Constant-phase lanes (ratio 1/2/4/8): the phase is
+            // invariant across bytes, so the per-phase tables hoist out
+            // of the loop. Ratios 2, 4 and 8 take whole 8-byte words
+            // through the wide lane; ratio 1 and the < 8-byte remainder
+            // take the byte lane, whose packer runs on locals — one
+            // flush per input byte at most (n ≤ 8).
             let p = self.fed as usize;
+            let mut raw = raw;
+            if let Some(w) = t.wide.get(p) {
+                let (words, rest) = raw.split_at(raw.len() / 8 * 8);
+                crc = match self.ratio {
+                    2 => wide_lane::<4>(w, crc, words, sink),
+                    4 => wide_lane::<2>(w, crc, words, sink),
+                    _ => wide_lane::<1>(w, crc, words, sink),
+                };
+                raw = rest;
+            }
             let n = 8 / self.ratio;
-            let (e_b, e_hi, e_lo) = (&t.e_b[p], &t.e_hi[p], &t.e_lo[p]);
+            let (e_b, e_hi) = (&t.e_b[p], &t.e_hi[p]);
             let mut acc = u32::from(sink.acc);
             let mut acc_len = sink.acc_len;
             let mut w = sink.bytes;
             for &b in raw {
                 let hi = (crc >> 8) as u8 as usize;
                 let lo = crc as u8 as usize;
-                let bits = e_b[b as usize] ^ e_hi[hi] ^ e_lo[lo];
+                let bits = e_b[b as usize] ^ e_hi[hi];
                 crc = t.s_hi[hi] ^ t.s_lo[lo] ^ t.s_b[b as usize];
                 acc = (acc << n) | u32::from(bits);
                 acc_len += n;
@@ -752,7 +867,7 @@ impl Conditioner for CrcWhitener {
                 let lo = crc as u8 as usize;
                 let n = t.count[p];
                 if n > 0 {
-                    let bits = t.e_b[p][b as usize] ^ t.e_hi[p][hi] ^ t.e_lo[p][lo];
+                    let bits = t.e_b[p][b as usize] ^ t.e_hi[p][hi];
                     sink.push_bits(bits, u32::from(n));
                 }
                 crc = t.s_hi[hi] ^ t.s_lo[lo] ^ t.s_b[b as usize];
@@ -1396,6 +1511,85 @@ mod tests {
                 vn.push(b);
             });
             assert_block_matches(vn, &raw, &[17, 1]);
+        }
+    }
+
+    #[test]
+    fn wide_tables_match_a_brute_force_serial_simulation() {
+        // Every 8-byte entry, at every phase, against the bit-serial
+        // machine run over the 8 bytes the entry stands for.
+        let serial = |ratio: u32, crc: u16, fed: u32, bytes: [u8; 8]| -> u64 {
+            let mut m = CrcWhitener {
+                ratio,
+                crc,
+                fed,
+                tables: None,
+            };
+            let mut emitted = 0u64;
+            for byte in bytes {
+                for i in (0..8).rev() {
+                    if let Some(bit) = m.push((byte >> i) & 1 == 1) {
+                        emitted = emitted << 1 | u64::from(bit);
+                    }
+                }
+            }
+            emitted << 16 | u64::from(m.crc)
+        };
+        for ratio in [2u32, 4, 8] {
+            let crc = CrcWhitener::new(ratio);
+            let t = crc.tables.as_deref().expect("tables");
+            assert_eq!(t.wide.len(), ratio as usize);
+            for (p, w) in t.wide.iter().enumerate() {
+                let fed = p as u32;
+                for x in 0..=255u8 {
+                    let at = |j: usize| {
+                        let mut bytes = [0u8; 8];
+                        bytes[j] = x;
+                        bytes
+                    };
+                    for j in 0..8 {
+                        assert_eq!(w.by_pos[j][usize::from(x)], serial(ratio, 0, fed, at(j)));
+                    }
+                    let hi = serial(ratio, u16::from(x) << 8, fed, [0; 8]);
+                    assert_eq!(w.hi[usize::from(x)], hi, "ratio {ratio} phase {p}");
+                    let lo = serial(ratio, u16::from(x), fed, [0; 8]);
+                    assert_eq!(w.lo[usize::from(x)], lo, "ratio {ratio} phase {p}");
+                }
+            }
+        }
+        // Only the phase-invariant compressing ratios get the lane.
+        for ratio in [1u32, 3, 16, 64] {
+            let crc = CrcWhitener::new(ratio);
+            assert!(crc.tables.as_deref().expect("tables").wide.is_empty());
+        }
+    }
+
+    #[test]
+    fn wide_lane_matches_serial_at_every_phase() {
+        // Ratios 2, 4 and 8 from every starting phase, over every
+        // length up to three words and a 64 KiB chunk, split mid-stream
+        // at offsets that are not multiples of 8 (so words start with a
+        // partial output byte pending in the sink).
+        let long = test_bytes(1 << 16, 91);
+        for ratio in [2u32, 4, 8] {
+            for phase in 0..ratio {
+                let lead = |crc: &mut CrcWhitener| {
+                    (0..phase).for_each(|i| {
+                        assert!(crc.push(i % 2 == 0).is_none());
+                    });
+                };
+                for len in 0..=24usize {
+                    let raw = test_bytes(len, 17 + len as u64);
+                    for splits in [&[][..], &[3], &[1, 9], &[5, 2, 7]] {
+                        let mut crc = CrcWhitener::new(ratio);
+                        lead(&mut crc);
+                        assert_block_matches(crc, &raw, splits);
+                    }
+                }
+                let mut crc = CrcWhitener::new(ratio);
+                lead(&mut crc);
+                assert_block_matches(crc, &long, &[5, 8 * 1000 + 3, 77]);
+            }
         }
     }
 

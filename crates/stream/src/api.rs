@@ -118,14 +118,22 @@ impl Default for ConditionerSpec {
 }
 
 impl ConditionerSpec {
-    /// Expected raw bits per conditioned bit for this choice, as
-    /// declared by the machine itself (single source of truth).
+    /// Expected raw bits per conditioned bit for this choice: the ratio
+    /// the machine declares through [`Conditioner::expected_ratio`].
+    /// The CRC whitener's is its ratio, read here without building the
+    /// machine and its block tables.
     ///
     /// # Panics
     ///
     /// Panics on a zero fold factor or compression ratio.
     pub fn expected_ratio(&self) -> f64 {
-        self.build().expected_ratio()
+        match *self {
+            Self::Crc { ratio } => {
+                assert!(ratio > 0, "compression ratio must be positive");
+                f64::from(ratio)
+            }
+            _ => self.build().expected_ratio(),
+        }
     }
 
     /// Checks the spec for a zero fold factor or compression ratio —
@@ -383,18 +391,17 @@ impl Shared {
     /// retrying with smaller reads still sees every healthy byte
     /// exactly once.
     fn draw_conditioned(&mut self, carry: &mut VecDeque<u8>, out: &mut [u8]) -> Result<(), Error> {
+        // The carry only holds bytes before the first chunk: a chunk
+        // that leaves a tail in it has filled `out`.
         let mut written = 0;
+        let (front, back) = carry.as_slices();
+        for part in [front, back] {
+            let take = part.len().min(out.len() - written);
+            out[written..written + take].copy_from_slice(&part[..take]);
+            written += take;
+        }
+        carry.drain(..written);
         while written < out.len() {
-            while written < out.len() {
-                let Some(byte) = carry.pop_front() else {
-                    break;
-                };
-                out[written] = byte;
-                written += 1;
-            }
-            if written == out.len() {
-                break;
-            }
             let Self { raw, stage, .. } = self;
             let space = out.len() - written;
             let dest = &mut out[written..];
@@ -1107,6 +1114,24 @@ mod tests {
         }
     }
 
+    /// The first `len` bytes the core `Conditioned` adaptor makes with
+    /// a 2:1 CRC whitener over `builder(seed)`'s merged raw stream.
+    fn core_adaptor_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let merged = MergedBits {
+            stream: EntropyStream::builder()
+                .shards(2)
+                .seed(seed)
+                .chunk_bytes(1024)
+                .build(),
+            byte: 0,
+            left: 0,
+        };
+        let mut reference = Conditioned::new(merged, CrcWhitener::new(2));
+        let mut bytes = vec![0u8; len];
+        Trng::fill_bytes(&mut reference, &mut bytes);
+        bytes
+    }
+
     #[test]
     fn builder_validates_instead_of_panicking() {
         let err = EntropySource::builder().shards(0).build().unwrap_err();
@@ -1135,6 +1160,20 @@ mod tests {
     }
 
     #[test]
+    fn spec_ratio_matches_the_built_machine() {
+        for spec in [
+            ConditionerSpec::VonNeumann,
+            ConditionerSpec::XorFold(3),
+            ConditionerSpec::Crc { ratio: 1 },
+            ConditionerSpec::Crc { ratio: 2 },
+            ConditionerSpec::Crc { ratio: 8 },
+            ConditionerSpec::Crc { ratio: 100 },
+        ] {
+            assert_eq!(spec.expected_ratio(), spec.build().expected_ratio());
+        }
+    }
+
+    #[test]
     fn sole_conditioned_session_matches_core_adaptor_over_the_merged_stream() {
         // The source's conditioning stage must produce exactly what the
         // core `Conditioned` adaptor produces over the same merged raw
@@ -1147,22 +1186,46 @@ mod tests {
         let mut got = vec![0u8; 2048];
         session.read(&mut got).expect("healthy");
 
-        let merged = MergedBits {
-            stream: EntropyStream::builder()
-                .shards(2)
-                .seed(5)
-                .chunk_bytes(1024)
-                .build(),
-            byte: 0,
-            left: 0,
-        };
-        let mut reference = Conditioned::new(merged, CrcWhitener::new(2));
-        let mut want = vec![0u8; 2048];
-        Trng::fill_bytes(&mut reference, &mut want);
-        assert_eq!(got, want);
+        assert_eq!(got, core_adaptor_bytes(5, 2048));
         assert_eq!(session.bytes_delivered(), 2048);
         let stats = src.stats();
         assert_eq!(stats.consumed_bits, 2 * stats.emitted_bits);
+    }
+
+    /// Re-lays `carry` out so its ring buffer wraps after the first
+    /// byte, keeping its contents. Healthy reads empty the carry before
+    /// a chunk tail lands in it, so on its own only a rollback wraps it.
+    fn wrap_carry(carry: &mut VecDeque<u8>) {
+        let bytes: Vec<u8> = carry.drain(..).collect();
+        let Some((&first, rest)) = bytes.split_first() else {
+            return;
+        };
+        carry.reserve(bytes.len() + 1);
+        let cap = carry.capacity();
+        carry.extend(std::iter::repeat(0).take(cap - 1));
+        carry.push_back(first);
+        carry.drain(..cap - 1);
+        carry.extend(rest);
+        assert_eq!(carry.as_slices(), (&[first][..], rest));
+    }
+
+    #[test]
+    fn sole_conditioned_session_reads_odd_sizes_through_a_wrapping_carry() {
+        // Odd read sizes leave chunk tails of every length in the carry;
+        // wrapping it before each read makes every carry copy take both
+        // halves of the ring buffer. The bytes must still be the core
+        // adaptor's stream, in order.
+        let src = source(5);
+        let mut session = src.session(Tier::Conditioned);
+        let mut got = Vec::new();
+        for size in [1usize, 7, 4097, 16384, 40000, 7, 1] {
+            wrap_carry(session.carry_mut());
+            let mut buf = vec![0u8; size];
+            session.read(&mut buf).expect("healthy");
+            got.extend_from_slice(&buf);
+        }
+        assert_eq!(got, core_adaptor_bytes(5, got.len()));
+        assert_eq!(session.bytes_delivered(), got.len() as u64);
     }
 
     #[test]
@@ -1451,13 +1514,15 @@ mod tests {
             .build()
             .expect("valid configuration");
         let mut session = src.session(Tier::Conditioned);
-        // Simulate healthy bytes buffered before the source died.
+        // Simulate healthy bytes buffered before the source died, laid
+        // out so the carry's ring buffer wraps between 0xAA and 0xBB.
         session.carry_mut().extend([0xAA, 0xBB, 0xCC]);
+        wrap_carry(session.carry_mut());
         let mut big = [0u8; 16];
         assert!(session.read(&mut big).is_err());
         assert_eq!(
-            session.carry_mut().len(),
-            3,
+            session.carry_mut().iter().copied().collect::<Vec<_>>(),
+            [0xAA, 0xBB, 0xCC],
             "rolled back, nothing consumed"
         );
         assert_eq!(session.bytes_delivered(), 0);
