@@ -595,16 +595,16 @@ struct CrcTables {
     e_hi: Vec<[u8; 256]>,
     /// Per phase: emissions per byte (0..=8), the same for every input.
     count: Vec<u8>,
-    /// Per phase: the 8-byte lane's tables, for ratios 2, 4 and 8
-    /// (empty otherwise).
+    /// Per phase: the 8-byte lane's tables, for ratio 2 only (empty
+    /// otherwise).
     wide: Vec<WideTables>,
 }
 
-/// The 8-byte lane's tables for one phase of ratio 2, 4 or 8.
+/// The 8-byte lane's tables for one phase of ratio 2.
 ///
 /// Each entry packs a contribution to the register after 8 input bytes
-/// (low 16 bits) and to the `64 / ratio` emissions of those bytes
-/// (above them, earliest emission highest). By the byte tables'
+/// (low 16 bits) and to the 32 emissions of those bytes (above them,
+/// earliest emission highest). By the byte tables'
 /// superposition, widened to 8 bytes, the lane's state and emissions
 /// are the XOR of one entry per input byte and position plus one per
 /// register byte, so the loop-carried chain is one register lookup per
@@ -662,7 +662,7 @@ fn build_crc_tables(ratio: u32) -> CrcTables {
         t.e_hi.push(e_hi);
         t.count.push(sim(0, p, 0).2);
     }
-    if ratio > 1 && 8 % ratio == 0 {
+    if ratio == 2 {
         t.wide = (0..ratio as usize).map(|p| build_wide(&t, p)).collect();
     }
     t
@@ -712,19 +712,12 @@ fn wide_advance(t: &CrcTables, p: usize, n: u32, v: u64) -> u64 {
     emitted << 16 | u64::from(t.s_hi[hi] ^ t.s_lo[lo])
 }
 
-/// The 8-byte lane over `raw`, a whole number of 8-byte words, for a
-/// ratio emitting `8 * OUT` bits per word; returns the register after
-/// the last word.
+/// The ratio-2 8-byte lane over `raw`, a whole number of 8-byte
+/// words; returns the register after the last word.
 ///
-/// Every word emits whole bytes, so the sink's partial-byte length is
-/// invariant and each word writes exactly `OUT` bytes.
-fn wide_lane<const OUT: usize>(
-    w: &WideTables,
-    mut crc: u16,
-    raw: &[u8],
-    sink: &mut BitSink<'_>,
-) -> u16 {
-    let n = 8 * OUT as u32;
+/// Every word emits 32 bits, whole bytes, so the sink's partial-byte
+/// length is invariant and each word writes exactly 4 bytes.
+fn wide_lane(w: &WideTables, mut crc: u16, raw: &[u8], sink: &mut BitSink<'_>) -> u16 {
     let keep = sink.acc_len;
     let mut acc = u64::from(sink.acc);
     let mut pos = sink.bytes;
@@ -734,12 +727,12 @@ fn wide_lane<const OUT: usize>(
             |v, (&b, t)| v ^ t[usize::from(b)],
         );
         crc = v as u16;
-        let bits = acc << n | v >> 16;
+        let bits = acc << 32 | v >> 16;
         acc = bits & ((1 << keep) - 1);
-        sink.buf[pos..pos + OUT].copy_from_slice(&(bits >> keep).to_be_bytes()[8 - OUT..]);
-        pos += OUT;
+        sink.buf[pos..pos + 4].copy_from_slice(&((bits >> keep) as u32).to_be_bytes());
+        pos += 4;
     }
-    sink.pushed += u64::from(n) * (raw.len() / 8) as u64;
+    sink.pushed += 32 * (raw.len() / 8) as u64;
     sink.bytes = pos;
     sink.acc = acc as u8;
     crc
@@ -750,9 +743,9 @@ impl CrcWhitener {
     ///
     /// Ratios up to 64 also precompute the GF(2)
     /// byte-transition tables behind
-    /// [`condition_block`](Conditioner::condition_block), and ratios
-    /// 2, 4 and 8 the 8-byte tables composed from them (20 KiB per
-    /// phase); larger ratios fall back to the bit-serial path there.
+    /// [`condition_block`](Conditioner::condition_block), and ratio 2
+    /// the 8-byte tables composed from them (20 KiB per phase); larger
+    /// ratios fall back to the bit-serial path there.
     ///
     /// # Panics
     ///
@@ -821,19 +814,15 @@ impl Conditioner for CrcWhitener {
         if 8 % self.ratio == 0 {
             // Constant-phase lanes (ratio 1/2/4/8): the phase is
             // invariant across bytes, so the per-phase tables hoist out
-            // of the loop. Ratios 2, 4 and 8 take whole 8-byte words
-            // through the wide lane; ratio 1 and the < 8-byte remainder
+            // of the loop. Ratio 2 takes whole 8-byte words through the
+            // wide lane; the other ratios and the < 8-byte remainder
             // take the byte lane, whose packer runs on locals — one
             // flush per input byte at most (n ≤ 8).
             let p = self.fed as usize;
             let mut raw = raw;
             if let Some(w) = t.wide.get(p) {
                 let (words, rest) = raw.split_at(raw.len() / 8 * 8);
-                crc = match self.ratio {
-                    2 => wide_lane::<4>(w, crc, words, sink),
-                    4 => wide_lane::<2>(w, crc, words, sink),
-                    _ => wide_lane::<1>(w, crc, words, sink),
-                };
+                crc = wide_lane(w, crc, words, sink);
                 raw = rest;
             }
             let n = 8 / self.ratio;
@@ -1518,9 +1507,9 @@ mod tests {
     fn wide_tables_match_a_brute_force_serial_simulation() {
         // Every 8-byte entry, at every phase, against the bit-serial
         // machine run over the 8 bytes the entry stands for.
-        let serial = |ratio: u32, crc: u16, fed: u32, bytes: [u8; 8]| -> u64 {
+        let serial = |crc: u16, fed: u32, bytes: [u8; 8]| -> u64 {
             let mut m = CrcWhitener {
-                ratio,
+                ratio: 2,
                 crc,
                 fed,
                 tables: None,
@@ -1535,30 +1524,28 @@ mod tests {
             }
             emitted << 16 | u64::from(m.crc)
         };
-        for ratio in [2u32, 4, 8] {
-            let crc = CrcWhitener::new(ratio);
-            let t = crc.tables.as_deref().expect("tables");
-            assert_eq!(t.wide.len(), ratio as usize);
-            for (p, w) in t.wide.iter().enumerate() {
-                let fed = p as u32;
-                for x in 0..=255u8 {
-                    let at = |j: usize| {
-                        let mut bytes = [0u8; 8];
-                        bytes[j] = x;
-                        bytes
-                    };
-                    for j in 0..8 {
-                        assert_eq!(w.by_pos[j][usize::from(x)], serial(ratio, 0, fed, at(j)));
-                    }
-                    let hi = serial(ratio, u16::from(x) << 8, fed, [0; 8]);
-                    assert_eq!(w.hi[usize::from(x)], hi, "ratio {ratio} phase {p}");
-                    let lo = serial(ratio, u16::from(x), fed, [0; 8]);
-                    assert_eq!(w.lo[usize::from(x)], lo, "ratio {ratio} phase {p}");
+        let crc = CrcWhitener::new(2);
+        let t = crc.tables.as_deref().expect("tables");
+        assert_eq!(t.wide.len(), 2);
+        for (p, w) in t.wide.iter().enumerate() {
+            let fed = p as u32;
+            for x in 0..=255u8 {
+                let at = |j: usize| {
+                    let mut bytes = [0u8; 8];
+                    bytes[j] = x;
+                    bytes
+                };
+                for j in 0..8 {
+                    assert_eq!(w.by_pos[j][usize::from(x)], serial(0, fed, at(j)));
                 }
+                let hi = serial(u16::from(x) << 8, fed, [0; 8]);
+                assert_eq!(w.hi[usize::from(x)], hi, "phase {p}");
+                let lo = serial(u16::from(x), fed, [0; 8]);
+                assert_eq!(w.lo[usize::from(x)], lo, "phase {p}");
             }
         }
-        // Only the phase-invariant compressing ratios get the lane.
-        for ratio in [1u32, 3, 16, 64] {
+        // Only ratio 2 gets the lane.
+        for ratio in [1u32, 3, 4, 8, 16, 64] {
             let crc = CrcWhitener::new(ratio);
             assert!(crc.tables.as_deref().expect("tables").wide.is_empty());
         }
@@ -1566,10 +1553,11 @@ mod tests {
 
     #[test]
     fn wide_lane_matches_serial_at_every_phase() {
-        // Ratios 2, 4 and 8 from every starting phase, over every
-        // length up to three words and a 64 KiB chunk, split mid-stream
-        // at offsets that are not multiples of 8 (so words start with a
-        // partial output byte pending in the sink).
+        // Ratio 2 (the wide lane) and 4 and 8 (the byte lane) from
+        // every starting phase, over every length up to three words and
+        // a 64 KiB chunk, split mid-stream at offsets that are not
+        // multiples of 8 (so words start with a partial output byte
+        // pending in the sink).
         let long = test_bytes(1 << 16, 91);
         for ratio in [2u32, 4, 8] {
             for phase in 0..ratio {

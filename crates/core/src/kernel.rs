@@ -383,55 +383,42 @@ mod tests {
         let mut rng = NoiseRng::seed_from_u64(5);
         // Ratio 1 exercises the delay line at full pressure (1:1 output
         // with carried bits); the others exercise compression. Odd block
-        // sizes force partial-byte carries across blocks.
-        for ratio in [1u32, 2, 3, 64] {
-            let raws: Vec<Vec<u8>> = [7usize, 64, 13, 128, 1, 33]
-                .iter()
-                .map(|&len| (0..len).map(|_| rng.next_u64() as u8).collect())
-                .collect();
-            let concatenated: Vec<u8> = raws.iter().flatten().copied().collect();
-            let reference = reference_condition(&mut CrcWhitener::new(ratio), &concatenated);
-
-            let mut stage = ConditionerStage::new(CrcWhitener::new(ratio));
-            let mut got = Vec::new();
-            for mut raw in raws {
-                let mut block = BitBlock::full(&mut raw);
-                stage.process(&mut block);
-                got.extend_from_slice(block.as_bytes());
-            }
-            assert_eq!(got, reference, "ratio = {ratio}");
-        }
-    }
-
-    #[test]
-    fn boxed_stage_spans_staging_slices_bit_identically() {
-        // The production mount (a boxed machine) over blocks that end
-        // mid-way through a staging slice, so slices and blocks both
-        // leave partial output bytes for the next call.
-        let mut rng = NoiseRng::seed_from_u64(13);
+        // sizes force partial-byte carries across blocks, and the long
+        // ones end mid-way through a staging slice.
         let raws: Vec<Vec<u8>> = [
-            STAGE_STAGING + 5,
+            7usize,
+            64,
+            13,
+            128,
             1,
+            33,
+            STAGE_STAGING + 5,
             3 * STAGE_STAGING - 1,
             (1 << 16) + 13,
-            7,
         ]
         .iter()
         .map(|&len| (0..len).map(|_| rng.next_u64() as u8).collect())
         .collect();
         let concatenated: Vec<u8> = raws.iter().flatten().copied().collect();
-        for ratio in [1u32, 2, 3, 4, 8] {
+        for ratio in [1u32, 2, 3, 4, 8, 64] {
             let reference = reference_condition(&mut CrcWhitener::new(ratio), &concatenated);
+            let mut stage = ConditionerStage::new(CrcWhitener::new(ratio));
+            // The production mount: a boxed machine.
             let boxed: Box<dyn Conditioner + Send> = Box::new(CrcWhitener::new(ratio));
-            let mut stage = ConditionerStage::new(boxed);
-            let mut got = Vec::new();
+            let mut boxed_stage = ConditionerStage::new(boxed);
+            let (mut got, mut got_boxed) = (Vec::new(), Vec::new());
             for raw in &raws {
-                let mut raw = raw.clone();
-                let mut block = BitBlock::full(&mut raw);
+                let mut raw_copy = raw.clone();
+                let mut block = BitBlock::full(&mut raw_copy);
                 stage.process(&mut block);
                 got.extend_from_slice(block.as_bytes());
+                let mut raw_copy = raw.clone();
+                let mut block = BitBlock::full(&mut raw_copy);
+                boxed_stage.process(&mut block);
+                got_boxed.extend_from_slice(block.as_bytes());
             }
             assert_eq!(got, reference, "ratio = {ratio}");
+            assert_eq!(got_boxed, reference, "boxed, ratio = {ratio}");
             assert_eq!(stage.consumed(), 8 * concatenated.len() as u64);
         }
     }

@@ -118,22 +118,14 @@ impl Default for ConditionerSpec {
 }
 
 impl ConditionerSpec {
-    /// Expected raw bits per conditioned bit for this choice: the ratio
-    /// the machine declares through [`Conditioner::expected_ratio`].
-    /// The CRC whitener's is its ratio, read here without building the
-    /// machine and its block tables.
+    /// Expected raw bits per conditioned bit for this choice, as
+    /// declared by the machine itself (single source of truth).
     ///
     /// # Panics
     ///
     /// Panics on a zero fold factor or compression ratio.
     pub fn expected_ratio(&self) -> f64 {
-        match *self {
-            Self::Crc { ratio } => {
-                assert!(ratio > 0, "compression ratio must be positive");
-                f64::from(ratio)
-            }
-            _ => self.build().expected_ratio(),
-        }
+        self.build().expected_ratio()
     }
 
     /// Checks the spec for a zero fold factor or compression ratio —
@@ -1157,20 +1149,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err, ConfigError::RctCutoff { got: 1 });
-    }
-
-    #[test]
-    fn spec_ratio_matches_the_built_machine() {
-        for spec in [
-            ConditionerSpec::VonNeumann,
-            ConditionerSpec::XorFold(3),
-            ConditionerSpec::Crc { ratio: 1 },
-            ConditionerSpec::Crc { ratio: 2 },
-            ConditionerSpec::Crc { ratio: 8 },
-            ConditionerSpec::Crc { ratio: 100 },
-        ] {
-            assert_eq!(spec.expected_ratio(), spec.build().expected_ratio());
-        }
     }
 
     #[test]
